@@ -32,6 +32,7 @@
 #include "bench_common.h"
 #include "explore.h"
 #include "rrsim/core/paper.h"
+#include "rrsim/util/temp_file.h"
 #include "ties_trace.h"
 
 namespace {
@@ -147,8 +148,9 @@ int main(int argc, char** argv) {
     ties_config.n_clusters = 2;
     ties_config.nodes_per_cluster = 16;
     ties_config.submit_horizon = 60.0 * cohorts + 300.0;
-    ties_config.trace_files = {check::write_ties_trace(
-        cohorts, ties, "rrsim_micro_check_ties.swf")};
+    const util::TempFile ties_trace("rrsim_micro_check_ties");
+    check::write_ties_trace(cohorts, ties, ties_trace.path());
+    ties_config.trace_files = {ties_trace.path()};
     ties_config.seed = 5;
     ties_config.retain_records = true;
     const ScenarioResult ties_result =

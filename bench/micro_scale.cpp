@@ -2,10 +2,10 @@
 //
 // Runs the same calibrated campaign point in three record/input modes —
 // retained (the figure pipelines' default: every JobRecord kept),
-// streaming (retain_records = false: per-finish accumulator, per-cluster
-// arrival pumps over materialized streams), and windowed (streaming plus
-// stream_window > 0: no materialized streams at all, StreamWindow pumps
-// pulling one window at a time from checkpointed generators) — at
+// streaming (retain_records = false: per-finish accumulator, job sources
+// reading materialized streams in place), and windowed (streaming plus
+// stream_window > 0: no materialized streams at all, job sources pulling
+// one window at a time from checkpointed generators) — at
 // increasing scale, and records for each run the model-level accounting
 // *and* the process's peak RSS. Each measurement runs in its own child
 // process (re-exec via /proc/self/exe), so VmHWM is the high-water of

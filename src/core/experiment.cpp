@@ -50,14 +50,6 @@ SimResult run_experiment(const ExperimentConfig& config,
       config.n_clusters > 1) {
     return detail::run_pdes_experiment(config);
   }
-  const bool windowed = config.stream_window > 0;
-  if (windowed && config.retain_records) {
-    throw std::invalid_argument(
-        "stream_window requires streaming record mode "
-        "(retain_records = false) on the classic kernel: retained runs "
-        "materialize every record anyway, so a windowed input would bound "
-        "nothing");
-  }
 
   detail::ResolvedClusters rc = detail::resolve_clusters(config);
   std::vector<grid::ClusterConfig>& cluster_configs = rc.cluster_configs;
@@ -138,41 +130,36 @@ SimResult run_experiment(const ExperimentConfig& config,
   const auto placement = grid::make_placement(config.placement);
   const auto estimator = workload::make_estimator(config.estimator);
 
-  // --- Generate job streams (shared with the PDES kernel) ---------------
-  // resolve_streams() is the historical inline loop moved verbatim into
-  // experiment_detail.h: same validation order, same fork order, same
-  // TraceCache memoization, and the user/redundancy draws pre-drawn in
-  // the cluster-major order both record modes consume them.
-  // resolve_stream_windows() is its O(window x clusters) counterpart:
-  // checkpoint tables instead of streams, substream fingerprints instead
-  // of pre-drawn draws, bit-identical job/draw values by construction.
-  detail::ResolvedStreams rs;
-  detail::ResolvedWindows ws;
-  if (windowed) {
-    ws = detail::resolve_stream_windows(config, cluster_configs, rc.master,
-                                        *estimator);
-  } else {
-    rs = detail::resolve_streams(config, cluster_configs, rc.master,
-                                 *estimator);
-  }
-  auto placement_rng = std::make_unique<util::Rng>(
-      windowed ? ws.placement_rng : rs.placement_rng);
-  const std::size_t jobs_generated =
-      windowed ? ws.jobs_generated : rs.jobs_generated;
+  // --- Job sources (shared with the PDES kernel) -----------------------
+  // One source per cluster, whatever backs it: a whole memoized stream
+  // read in place, or windows pulled from a checkpointed generator or an
+  // SWF spool. Ids, specs and draws are identical across backings.
+  const detail::ResolvedInputs inputs = detail::resolve_inputs(
+      config, cluster_configs, rc.master, *estimator);
+  std::vector<detail::JobSource> sources =
+      detail::make_job_sources(config, cluster_configs, inputs, *estimator);
+  util::Rng placement_rng = inputs.placement_rng;
 
   // Declared before scheduling: the streaming mode's record sink points at
   // result.stream and must outlive the run.
   SimResult result;
   result.streamed = !config.retain_records;
+  // Retained vs streamed is only the record sink.
+  if (config.retain_records) {
+    // Every generated job finishes exactly once under drain, so this is
+    // the exact final size (an upper bound under truncation) and the
+    // per-finish push_back never reallocates.
+    gateway.reserve_records(inputs.jobs_generated);
+  } else {
+    gateway.set_record_sink(&result.stream);
+  }
 
   const std::size_t degree = config.scheme.degree(config.n_clusters);
   const double inflation = config.remote_inflation;
   // Chooses the remote targets of one redundant job at its submission
   // instant, so informed placement policies (least-loaded) observe the
-  // live queue lengths. Shared verbatim by both arrival mechanisms below,
-  // which therefore consume the placement substream identically.
-  const auto place_job = [&platform, &placement = *placement,
-                          &placement_rng = *placement_rng,
+  // live queue lengths.
+  const auto place_job = [&platform, &placement = *placement, &placement_rng,
                           degree](grid::GridJob& job) {
     if (job.redundant && degree > 1) {
       std::vector<std::size_t> lengths;
@@ -202,284 +189,52 @@ SimResult run_experiment(const ExperimentConfig& config,
     return degree > 1 ? des::kNoEventTag : static_cast<std::uint32_t>(cluster);
   };
 
-  // Per-cluster arrival pump state (streaming mode). The pre-drawn
-  // rs.draws — 8 bytes per job instead of a staged GridJob (~150 with its
-  // target heap) — let pumps walk the memoized streams directly, keeping
-  // one in-flight arrival event per cluster instead of one per job.
-  struct Pump {
-    const workload::JobStream* stream = nullptr;
-    std::size_t next = 0;        // index of the next job to submit
-    std::size_t draw_base = 0;   // first index into rs.draws
-    grid::GridJobId id_base = 0;  // ids are id_base + index + 1
-    grid::GridJob scratch;       // reused submission buffer
-  };
-  std::vector<Pump> pumps;
-  std::function<void(std::size_t)> pump_fire;
-
-  // Windowed pump state (stream_window > 0): no resident stream at all —
-  // a StreamWindow generator refills `buf` one window at a time, and the
-  // user/redundancy draws are made lazily from generators restored at this
-  // cluster's substream positions. Job ids, draw values and submit order
-  // are bit-identical to the eager pumps by construction.
-  struct WindowPump {
-    std::unique_ptr<workload::StreamWindow> gen;
-    workload::JobStream buf;      // current window, O(stream_window)
-    std::size_t in_buf = 0;       // index of the next job within buf
-    std::uint64_t produced = 0;   // jobs already submitted by this pump
-    util::Rng users_rng{0};
-    util::Rng redundancy_rng{0};
-    grid::GridJobId id_base = 0;  // ids are id_base + produced + 1
-    grid::GridJob scratch;
-  };
-  std::vector<WindowPump> wpumps;
-  std::function<void(std::size_t)> wpump_fire;
-
-  // Windowed SWF replay state (stream_window > 0 with trace_files): the
-  // per-cluster spool readers pull O(window) buffers, but arrivals are
-  // driven by ONE merged pump doing a k-way merge keyed (submit time,
-  // cluster). SWF integer timestamps tie across clusters, and independent
-  // per-cluster pumps would acquire interleaving-dependent event sequence
-  // numbers at a tie; the merged pump emits tied arrivals in (time,
-  // cluster, within-cluster order) — exactly the retained mode's
-  // cluster-major staging order — and chains a single kArrival event, so
-  // the windowed replay is bit-identical to the retained replay (only
-  // arrival pumps schedule at kArrival priority, so relative order against
-  // every other event class is decided by priority alone in both modes).
-  struct SwfWindowCluster {
-    std::unique_ptr<workload::WindowSpool::Reader> reader;
-    workload::JobStream buf;      // current window, O(stream_window)
-    std::size_t in_buf = 0;       // index of the next job within buf
-    std::uint64_t produced = 0;   // jobs already submitted
-    util::Rng users_rng{0};
-    util::Rng redundancy_rng{0};
-    grid::GridJobId id_base = 0;  // ids are id_base + produced + 1
-    grid::GridJob scratch;
-  };
-  std::vector<SwfWindowCluster> mclusters;
-  // Min-heap over (next submit time, cluster): the pair's lexicographic
-  // order is exactly the tie rule above.
-  std::vector<std::pair<double, std::size_t>> mheap;
-  std::function<void()> merged_fire;
-
-  std::vector<grid::GridJob>& jobs = workspace.jobs_;
-  if (config.retain_records) {
-    // --- Retained mode: stage every grid job, pre-schedule every arrival.
-    jobs.clear();
-    grid::GridJobId next_id = 1;
-    std::size_t draw_index = 0;
-    for (std::size_t i = 0; i < config.n_clusters; ++i) {
-      for (const workload::JobSpec& spec : rs.streams[i].get()) {
-        const detail::Draw& d = rs.draws[draw_index++];
-        grid::GridJob job;
-        job.id = next_id++;
-        job.origin = i;
-        job.user = static_cast<sched::UserId>(d.user);
-        job.spec = spec;
-        job.redundant = d.redundant;
-        job.targets = {i};
-        jobs.push_back(std::move(job));
-      }
-    }
-    // Record storage sized once: every generated job finishes exactly once
-    // under drain, so this is the exact final size (an upper bound under
-    // truncation) and the per-finish push_back never reallocates.
-    gateway.reserve_records(jobs.size());
-
-    // Arrival events fire in deterministic order, so the placement stream
-    // stays reproducible. `jobs` is fully built before any lambda captures
-    // an element reference, and never resized afterwards.
-    for (grid::GridJob& job : jobs) {
-      sim.schedule_at(
-          job.spec.submit_time,
-          [&gateway, &place_job, &job, inflation] {
-            place_job(job);
-            gateway.submit(job, inflation);
-          },
-          des::Priority::kArrival, arrival_tag(job.origin));
-    }
-  } else if (windowed && !config.trace_files.empty()) {
-    // --- Windowed SWF replay: merged arrival pump over spool readers.
-    std::vector<grid::GridJob>().swap(jobs);
-    gateway.set_record_sink(&result.stream);
-
-    const std::size_t window = config.stream_window;
-    mclusters.resize(config.n_clusters);
-    {
-      std::size_t base = 0;
-      for (std::size_t i = 0; i < config.n_clusters; ++i) {
-        const detail::WindowedClusterStream& wcs = ws.streams[i];
-        SwfWindowCluster& p = mclusters[i];
-        p.id_base = static_cast<grid::GridJobId>(base);
-        base += wcs.total_jobs();
-        if (wcs.total_jobs() == 0) continue;
-        p.reader = std::make_unique<workload::WindowSpool::Reader>(wcs.spool);
-        p.buf.reserve(window);
-        p.reader->next(window, p.buf);
-        p.users_rng = util::Rng::from_fingerprint(wcs.users_start);
-        p.redundancy_rng = util::Rng::from_fingerprint(wcs.redundancy_start);
-        mheap.emplace_back(p.buf.front().submit_time, i);
-      }
-    }
-    std::make_heap(mheap.begin(), mheap.end(), std::greater<>{});
-    const auto users_per_cluster =
-        static_cast<std::uint64_t>(config.users_per_cluster);
-    const bool scheme_active = !config.scheme.is_none();
-    const double redundant_fraction = config.redundant_fraction;
-    merged_fire = [&gateway, &place_job, &arrival_tag, &mclusters, &mheap,
-                   &sim, &merged_fire, window, users_per_cluster,
-                   scheme_active, redundant_fraction, inflation] {
-      std::pop_heap(mheap.begin(), mheap.end(), std::greater<>{});
-      const std::size_t ci = mheap.back().second;
-      mheap.pop_back();
-      SwfWindowCluster& p = mclusters[ci];
-      const workload::JobSpec& spec = p.buf[p.in_buf];
-      grid::GridJob& job = p.scratch;
-      job.id = p.id_base + p.produced + 1;
-      job.origin = ci;
-      // Same draws, same per-generator order as the eager rs.draws loop.
-      job.user = static_cast<sched::UserId>(static_cast<std::uint32_t>(
-          ci * 4096 + p.users_rng.below(users_per_cluster)));
-      job.spec = spec;
-      job.redundant =
-          scheme_active && p.redundancy_rng.chance(redundant_fraction);
-      job.targets.clear();
-      job.targets.push_back(ci);
-      place_job(job);
-      gateway.submit(job, inflation);
-      ++p.produced;
-      if (++p.in_buf == p.buf.size() && !p.reader->exhausted()) {
-        p.reader->next(window, p.buf);
-        p.in_buf = 0;
-      }
-      if (p.in_buf < p.buf.size()) {
-        mheap.emplace_back(p.buf[p.in_buf].submit_time, ci);
-        std::push_heap(mheap.begin(), mheap.end(), std::greater<>{});
-      }
-      if (!mheap.empty()) {
-        sim.schedule_at(mheap.front().first, [&merged_fire] { merged_fire(); },
-                        des::Priority::kArrival,
-                        arrival_tag(mheap.front().second));
-      }
-    };
-    if (!mheap.empty()) {
-      sim.schedule_at(mheap.front().first, [&merged_fire] { merged_fire(); },
-                      des::Priority::kArrival,
-                      arrival_tag(mheap.front().second));
-    }
-  } else if (windowed) {
-    // --- Windowed streaming mode: O(stream_window) trace state per pump.
-    std::vector<grid::GridJob>().swap(jobs);
-    gateway.set_record_sink(&result.stream);
-
-    const std::size_t window = config.stream_window;
-    wpumps.resize(config.n_clusters);
-    {
-      std::size_t base = 0;
-      for (std::size_t i = 0; i < config.n_clusters; ++i) {
-        const detail::WindowedClusterStream& wcs = ws.streams[i];
-        WindowPump& p = wpumps[i];
-        p.id_base = static_cast<grid::GridJobId>(base);
-        base += wcs.checkpoints->total_jobs;
-        if (wcs.checkpoints->total_jobs == 0) continue;
-        p.gen = std::make_unique<workload::StreamWindow>(
-            cluster_configs[i].workload, cluster_configs[i].nodes,
-            config.submit_horizon, wcs.checkpoints->checkpoints.front(),
-            *estimator);
-        p.buf.reserve(window);
-        p.gen->next(window, p.buf);
-        p.users_rng = util::Rng::from_fingerprint(wcs.users_start);
-        p.redundancy_rng = util::Rng::from_fingerprint(wcs.redundancy_start);
-      }
-    }
-    const auto users_per_cluster =
-        static_cast<std::uint64_t>(config.users_per_cluster);
-    const bool scheme_active = !config.scheme.is_none();
-    const double redundant_fraction = config.redundant_fraction;
-    wpump_fire = [&gateway, &place_job, &arrival_tag, &wpumps, &sim,
-                  &wpump_fire, window, users_per_cluster, scheme_active,
-                  redundant_fraction, inflation](std::size_t ci) {
-      WindowPump& p = wpumps[ci];
-      const workload::JobSpec& spec = p.buf[p.in_buf];
-      grid::GridJob& job = p.scratch;
-      job.id = p.id_base + p.produced + 1;
-      job.origin = ci;
-      // Same draws, same per-generator order as the eager rs.draws loop
-      // (which advances the redundancy generator only under an active
-      // scheme — preserve the short-circuit exactly).
-      job.user = static_cast<sched::UserId>(static_cast<std::uint32_t>(
-          ci * 4096 + p.users_rng.below(users_per_cluster)));
-      job.spec = spec;
-      job.redundant =
-          scheme_active && p.redundancy_rng.chance(redundant_fraction);
-      job.targets.clear();
-      job.targets.push_back(ci);
-      place_job(job);
-      gateway.submit(job, inflation);
-      ++p.produced;
-      if (++p.in_buf == p.buf.size() && !p.gen->exhausted()) {
-        p.gen->next(window, p.buf);
-        p.in_buf = 0;
-      }
-      if (p.in_buf < p.buf.size()) {
-        sim.schedule_at(p.buf[p.in_buf].submit_time,
-                        [&wpump_fire, ci] { wpump_fire(ci); },
-                        des::Priority::kArrival, arrival_tag(ci));
-      }
-    };
-    for (std::size_t i = 0; i < config.n_clusters; ++i) {
-      if (wpumps[i].buf.empty()) continue;
-      sim.schedule_at(wpumps[i].buf.front().submit_time,
-                      [&wpump_fire, i] { wpump_fire(i); },
-                      des::Priority::kArrival, arrival_tag(i));
-    }
-  } else {
-    // --- Streaming mode: per-cluster pumps, per-finish metric folding.
-    // Release any staging arena a previous retained run left in this
-    // workspace — keeping it warm would defeat the O(live jobs) budget.
-    std::vector<grid::GridJob>().swap(jobs);
-    gateway.set_record_sink(&result.stream);
-
-    pumps.resize(config.n_clusters);
-    {
-      std::size_t base = 0;
-      for (std::size_t i = 0; i < config.n_clusters; ++i) {
-        pumps[i].stream = &rs.streams[i].get();
-        pumps[i].draw_base = base;
-        pumps[i].id_base = static_cast<grid::GridJobId>(base);
-        base += rs.streams[i].get().size();
-      }
-    }
-    // Fires cluster ci's next arrival, then schedules the following one.
-    // Captures locals of this call by reference; the final sim.reset()
-    // guarantees no callback survives the return.
-    pump_fire = [&gateway, &place_job, &arrival_tag, &pumps, &rs, &sim,
-                 &pump_fire, inflation](std::size_t ci) {
-      Pump& p = pumps[ci];
-      const workload::JobSpec& spec = (*p.stream)[p.next];
-      const detail::Draw& d = rs.draws[p.draw_base + p.next];
-      grid::GridJob& job = p.scratch;
-      job.id = p.id_base + p.next + 1;
-      job.origin = ci;
-      job.user = static_cast<sched::UserId>(d.user);
-      job.spec = spec;
-      job.redundant = d.redundant;
-      job.targets.clear();
-      job.targets.push_back(ci);
-      place_job(job);
-      gateway.submit(job, inflation);
-      if (++p.next < p.stream->size()) {
-        sim.schedule_at((*p.stream)[p.next].submit_time,
-                        [&pump_fire, ci] { pump_fire(ci); },
-                        des::Priority::kArrival, arrival_tag(ci));
-      }
-    };
-    for (std::size_t i = 0; i < config.n_clusters; ++i) {
-      if (pumps[i].stream->empty()) continue;
-      sim.schedule_at(pumps[i].stream->front().submit_time,
-                      [&pump_fire, i] { pump_fire(i); },
-                      des::Priority::kArrival, arrival_tag(i));
-    }
+  // --- The arrival pump ----------------------------------------------------
+  // A k-way merge over the sources keyed (submit time, cluster). Each step
+  // stages the whole cohort of arrivals at the next timestamp, draws
+  // included, in (time, cluster, within-cluster index) order and schedules
+  // each member as its own kArrival event, so tied arrivals dispatch in
+  // that order and a TieBreakPolicy sees them as one group. The next
+  // cohort is staged only after the last member of this one has fired.
+  // Only arrivals schedule at kArrival priority, so their order against
+  // every other event class is decided by priority alone.
+  std::vector<std::pair<double, std::size_t>> heap;  // min-heap
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    if (!sources[i].empty()) heap.emplace_back(sources[i].next_time(), i);
   }
+  std::make_heap(heap.begin(), heap.end(), std::greater<>{});
+  std::vector<grid::GridJob> cohort;
+  std::size_t pending = 0;  // staged cohort members yet to fire
+  std::function<void(std::size_t)> fire;
+  const auto stage_cohort = [&sim, &sources, &heap, &cohort, &pending, &fire,
+                             &arrival_tag] {
+    if (heap.empty()) return;
+    const double t = heap.front().first;
+    std::size_t staged = 0;
+    while (!heap.empty() && heap.front().first == t) {
+      std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+      const std::size_t ci = heap.back().second;
+      heap.pop_back();
+      if (staged == cohort.size()) cohort.emplace_back();
+      sources[ci].pop(cohort[staged++]);
+      if (!sources[ci].empty()) {
+        heap.emplace_back(sources[ci].next_time(), ci);
+        std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+      }
+    }
+    pending = staged;
+    for (std::size_t k = 0; k < staged; ++k) {
+      sim.schedule_at(t, [&fire, k] { fire(k); }, des::Priority::kArrival,
+                      arrival_tag(cohort[k].origin));
+    }
+  };
+  fire = [&gateway, &place_job, &cohort, &pending, &stage_cohort,
+          inflation](std::size_t k) {
+    place_job(cohort[k]);
+    gateway.submit(cohort[k], inflation);
+    if (--pending == 0) stage_cohort();
+  };
+  stage_cohort();
 
   // --- Queue observation ---------------------------------------------------
   std::vector<metrics::QueueTracker::Probe> probes;
@@ -513,7 +268,7 @@ SimResult run_experiment(const ExperimentConfig& config,
     result.middleware_mean_sojourn +=
         station->mean_sojourn() / static_cast<double>(stations.size());
   }
-  result.jobs_generated = jobs_generated;
+  result.jobs_generated = inputs.jobs_generated;
   result.avg_max_queue = tracker.avg_max_length();
   result.queue_growth_per_hour.reserve(config.n_clusters);
   for (std::size_t i = 0; i < config.n_clusters; ++i) {
@@ -521,67 +276,26 @@ SimResult run_experiment(const ExperimentConfig& config,
   }
   result.end_time = sim.now();
   // Job-proportional live state, capacity-based (high-water): gateway
-  // tracking + scheduler tables, plus whichever arrival mechanism ran.
+  // tracking + scheduler tables, plus the arrival pump.
   result.live_state_bytes = gateway.live_state_bytes();
   for (std::size_t i = 0; i < platform.size(); ++i) {
     result.live_state_bytes += platform.scheduler(i).live_state_bytes();
   }
-  result.live_state_bytes += rs.draws.capacity() * sizeof(detail::Draw);
-  if (config.retain_records) {
-    result.live_state_bytes += jobs.capacity() * sizeof(grid::GridJob);
-    for (const grid::GridJob& job : jobs) {
-      result.live_state_bytes +=
-          job.targets.capacity() * sizeof(std::size_t) +
-          job.replica_specs.capacity() * sizeof(workload::JobSpec);
-    }
-  } else if (windowed) {
-    result.live_state_bytes += wpumps.capacity() * sizeof(WindowPump);
-    for (const WindowPump& p : wpumps) {
-      result.live_state_bytes +=
-          p.scratch.targets.capacity() * sizeof(std::size_t);
-    }
-    result.live_state_bytes += mclusters.capacity() * sizeof(SwfWindowCluster);
-    result.live_state_bytes +=
-        mheap.capacity() * sizeof(std::pair<double, std::size_t>);
-    for (const SwfWindowCluster& p : mclusters) {
-      result.live_state_bytes +=
-          p.scratch.targets.capacity() * sizeof(std::size_t);
-    }
-  } else {
-    result.live_state_bytes += pumps.capacity() * sizeof(Pump);
-    for (const Pump& p : pumps) {
-      result.live_state_bytes +=
-          p.scratch.targets.capacity() * sizeof(std::size_t);
-    }
+  result.live_state_bytes +=
+      sources.capacity() * sizeof(detail::JobSource) +
+      heap.capacity() * sizeof(std::pair<double, std::size_t>) +
+      cohort.capacity() * sizeof(grid::GridJob);
+  for (const grid::GridJob& job : cohort) {
+    result.live_state_bytes += job.targets.capacity() * sizeof(std::size_t);
   }
-  // Resident trace state: what stream_window exists to bound. Windowed
-  // runs hold checkpoint tables (or spool indexes) plus one window buffer
-  // per cluster; whole-stream runs hold every generated spec.
-  if (windowed) {
-    for (const detail::WindowedClusterStream& wcs : ws.streams) {
-      result.resident_trace_bytes += wcs.payload_bytes();
-    }
-    for (const WindowPump& p : wpumps) {
-      result.resident_trace_bytes +=
-          p.buf.capacity() * sizeof(workload::JobSpec);
-    }
-    for (const SwfWindowCluster& p : mclusters) {
-      result.resident_trace_bytes +=
-          p.buf.capacity() * sizeof(workload::JobSpec);
-    }
-  } else {
-    for (const detail::ClusterStream& cs : rs.streams) {
-      result.resident_trace_bytes +=
-          cs.get().size() * sizeof(workload::JobSpec);
-    }
-  }
+  result.resident_trace_bytes = detail::resident_trace_bytes(inputs, sources);
   result.records = gateway.take_records();
   gateway.set_record_sink(nullptr);
   if (config.drain) {
     const std::uint64_t finished = config.retain_records
                                        ? result.records.size()
                                        : gateway.finished();
-    if (finished != jobs_generated) {
+    if (finished != inputs.jobs_generated) {
       throw std::logic_error(
           "conservation violation: not every grid job finished exactly once");
     }

@@ -19,8 +19,7 @@
 //   --users=U         users per cluster (population for the cap)
 //   --seed=S
 //   --window=W        windowed trace generation: pull W jobs at a time
-//                     instead of materializing whole streams (requires
-//                     streaming record mode on the classic kernel; 0 = off)
+//                     instead of materializing whole streams (0 = off)
 //   --trace-cache-budget=B  byte budget for the process-global trace
 //                     cache (LRU eviction above B; 0 = unlimited, the
 //                     default). Benches also honor the

@@ -73,8 +73,8 @@ struct CheckpointedTrace {
 
 /// The pull interface every windowed job source presents: generator-backed
 /// (StreamWindow) and file-backed (WindowSpool::Reader) sources are
-/// interchangeable to the arrival pumps, which only ever ask for "the next
-/// up-to-W jobs".
+/// interchangeable to the core job sources, which only ever ask for "the
+/// next up-to-W jobs".
 class WindowSource {
  public:
   virtual ~WindowSource() = default;
@@ -89,7 +89,7 @@ class WindowSource {
 };
 
 /// Pull-based Lublin stream generator. Not thread-safe; each consumer
-/// (arrival pump, checkpoint scan) owns its instance. The estimator is
+/// (job source, checkpoint scan) owns its instance. The estimator is
 /// borrowed and must outlive the generator.
 class StreamWindow : public WindowSource {
  public:

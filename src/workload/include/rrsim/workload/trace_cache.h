@@ -83,7 +83,7 @@ struct TraceKey {
 };
 
 /// Where the per-job user/redundancy substreams land after one cluster's
-/// segment of draws (see core::detail::resolve_stream_windows): the exact
+/// segment of draws (see core::detail::resolve_inputs): the exact
 /// generator fingerprints the *next* cluster's draws start from.
 struct DrawSegment {
   std::pair<std::uint64_t, std::uint64_t> users_end{0, 0};

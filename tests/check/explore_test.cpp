@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "rrsim/des/simulation.h"
+#include "rrsim/util/temp_file.h"
 #include "ties_trace.h"
 
 namespace rrsim::check {
@@ -294,12 +295,37 @@ TEST(Explore, BudgetsAreHonored) {
   EXPECT_EQ(report.groups_skipped, 2u);
 }
 
+constexpr int kTieSlots = 15;
+constexpr int kTiesPerSlot = 3;
+
 /// Trace with three same-timestamp jobs per arrival slot (the shared
 /// tie-heavy generator) — the experiment-level probe must surface real
-/// tie cohorts from it.
-std::string explore_ties_trace() {
-  return write_ties_trace(/*slots=*/15, /*ties_per_slot=*/3,
-                          "rrsim_explore_ties.swf");
+/// tie cohorts from it. Owns its uniquely named file.
+struct ExploreTiesTrace {
+  ExploreTiesTrace() { write_ties_trace(kTieSlots, kTiesPerSlot, file.path()); }
+  util::TempFile file{"rrsim_explore_ties"};
+};
+
+/// Pins the arrival cohort shape on the ties trace: every slot opens as
+/// one kArrival group holding all tied jobs of all `clusters`. A group
+/// that a higher-priority event at the same instant interrupts resumes as
+/// a smaller group at the same time.
+void expect_full_arrival_cohorts(const CensusPolicy& census,
+                                 std::size_t clusters) {
+  const std::size_t cohort_size = clusters * kTiesPerSlot;
+  int slots = 0;
+  des::Time slot_time = -1.0;
+  for (const TieGroupRecord& g : census.groups()) {
+    if (g.priority != static_cast<int>(des::Priority::kArrival)) continue;
+    if (g.time != slot_time) {
+      slot_time = g.time;
+      ++slots;
+      EXPECT_EQ(g.members.size(), cohort_size) << "slot at t=" << g.time;
+    } else {
+      EXPECT_LT(g.members.size(), cohort_size) << "slot at t=" << g.time;
+    }
+  }
+  EXPECT_EQ(slots, kTieSlots);
 }
 
 core::ExperimentConfig ties_config(const std::string& path) {
@@ -314,13 +340,15 @@ core::ExperimentConfig ties_config(const std::string& path) {
 }
 
 TEST(ExperimentProbeTest, RequiresRetainedRecords) {
-  core::ExperimentConfig c = ties_config(explore_ties_trace());
+  const ExploreTiesTrace trace;
+  core::ExperimentConfig c = ties_config(trace.file.path());
   c.retain_records = false;
   EXPECT_THROW(ExperimentProbe{c}, std::invalid_argument);
 }
 
 TEST(ExperimentProbeTest, ExplorationIsDeterministic) {
-  const std::string path = explore_ties_trace();
+  const ExploreTiesTrace trace;
+  const std::string& path = trace.file.path();
   ExploreOptions opts;
   opts.exhaustive_k = 3;
   opts.max_groups = 4;
@@ -344,12 +372,14 @@ TEST(ExperimentProbeTest, RedundantArrivalsAreUntagged) {
   // still order-coupled. The schedule sites must leave them untagged —
   // a cluster tag would let the DPOR criterion prune their permutations
   // as independent and certify a falsely IDENTICAL verdict.
-  const std::string path = explore_ties_trace();
+  const ExploreTiesTrace trace;
+  const std::string& path = trace.file.path();
   core::ExperimentConfig redundant = ties_config(path);
   redundant.scheme = core::RedundancyScheme::fixed(2);
   CensusPolicy census;
   redundant.tie_break_policy = &census;
   core::run_experiment(redundant);
+  expect_full_arrival_cohorts(census, redundant.n_clusters);
   bool saw_arrival_cohort = false;
   for (const TieGroupRecord& g : census.groups()) {
     if (g.priority != static_cast<int>(des::Priority::kArrival)) continue;
@@ -367,6 +397,7 @@ TEST(ExperimentProbeTest, RedundantArrivalsAreUntagged) {
   CensusPolicy plain_census;
   plain.tie_break_policy = &plain_census;
   core::run_experiment(plain);
+  expect_full_arrival_cohorts(plain_census, plain.n_clusters);
   bool saw_tagged_arrival = false;
   for (const TieGroupRecord& g : plain_census.groups()) {
     if (g.priority != static_cast<int>(des::Priority::kArrival)) continue;

@@ -6,6 +6,7 @@
 #include "rrsim/core/paper.h"
 #include "rrsim/grid/gateway.h"
 #include "rrsim/grid/platform.h"
+#include "rrsim/util/temp_file.h"
 #include "rrsim/workload/swf.h"
 
 namespace rrsim::core {
@@ -148,7 +149,8 @@ TEST(TraceReplayExperiment, ReplaysSwfAcrossClusters) {
       workload::LublinParams{}.with_mean_interarrival(60.0), 64);
   workload::JobStream stream = model.generate_stream(rng, 3600.0);
   ASSERT_FALSE(stream.empty());
-  const std::string path = ::testing::TempDir() + "/rrsim_trace.swf";
+  const util::TempFile trace("rrsim_trace");
+  const std::string& path = trace.path();
   workload::write_swf_file(path, stream);
 
   ExperimentConfig c;
@@ -172,7 +174,8 @@ TEST(TraceReplayExperiment, SkipsJobsWiderThanCluster) {
   const workload::LublinModel model(
       workload::LublinParams{}.with_mean_interarrival(60.0), 128);
   workload::JobStream stream = model.generate_stream(rng, 3600.0);
-  const std::string path = ::testing::TempDir() + "/rrsim_trace_wide.swf";
+  const util::TempFile trace("rrsim_trace_wide");
+  const std::string& path = trace.path();
   workload::write_swf_file(path, stream);
   std::size_t fitting = 0;
   for (const auto& s : stream) {

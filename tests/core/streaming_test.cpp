@@ -103,8 +103,8 @@ TEST(Streaming, LiveStateIsReportedAndSmallerThanRetained) {
   const SimResult streamed = run_experiment(config);
   ASSERT_GT(retained.live_state_bytes, 0u);
   ASSERT_GT(streamed.live_state_bytes, 0u);
-  // Retained mode stages every grid job for the whole run; streaming keeps
-  // only live jobs (plus 8 bytes/job of pre-drawn randomness).
+  // Retained mode keeps every job's scheduler lifecycle entry for the
+  // whole run; streaming drops terminal entries and keeps only live jobs.
   EXPECT_LT(streamed.live_state_bytes, retained.live_state_bytes);
 }
 

@@ -11,43 +11,13 @@
 
 #include "rrsim/core/experiment.h"
 #include "rrsim/metrics/summary.h"
+#include "rrsim/util/temp_file.h"
 #include "rrsim/workload/swf.h"
 #include "rrsim/workload/trace_cache.h"
+#include "ties_fixture.h"
 
 namespace rrsim::core {
 namespace {
-
-/// A synthetic trace built for tie-breaking trouble: three jobs per
-/// integer timestamp (within-file ties), replayed onto several clusters
-/// (cross-cluster ties at every arrival), some jobs wider than the
-/// clusters (exercises the width filter), and a tail past the horizon
-/// (exercises the horizon cut).
-std::string write_ties_trace() {
-  workload::JobStream s;
-  for (std::size_t i = 0; i < 150; ++i) {
-    workload::JobSpec j;
-    j.submit_time = 60.0 * static_cast<double>(i / 3);
-    j.nodes = 1 + static_cast<int>((i * 7) % 24);  // up to 24 > 16 nodes
-    j.runtime = 30.0 + static_cast<double>(i % 17) * 12.5;
-    j.requested_time = j.runtime + static_cast<double>(i % 5) * 10.0;
-    s.push_back(j);
-  }
-  const std::string path = ::testing::TempDir() + "/rrsim_ties.swf";
-  workload::write_swf_file(path, s);
-  return path;
-}
-
-ExperimentConfig replay_config(const std::string& path) {
-  ExperimentConfig c;
-  c.n_clusters = 3;  // same file on every cluster: ties at every arrival
-  c.nodes_per_cluster = 16;
-  c.submit_horizon = 2400.0;  // cuts the trace's tail
-  c.trace_files = {path};
-  c.scheme = RedundancyScheme::fixed(2);
-  c.redundant_fraction = 0.5;
-  c.seed = 13;
-  return c;
-}
 
 void expect_same_metrics(const metrics::ScheduleMetrics& got,
                          const metrics::ScheduleMetrics& want) {
@@ -60,18 +30,22 @@ void expect_same_metrics(const metrics::ScheduleMetrics& got,
 }
 
 TEST(SwfSpool, WindowedReplayMatchesRetainedBitIdentically) {
-  const std::string path = write_ties_trace();
-  ExperimentConfig retained = replay_config(path);
+  const util::TempFile trace("rrsim_ties");
+  const std::string& path = trace.path();
+  write_ties_trace(path);
+  ExperimentConfig retained = ties_replay_config(path);
   const SimResult eager = run_experiment(retained);
   ASSERT_GT(eager.jobs_generated, 100u);
   const metrics::ScheduleMetrics want = metrics::compute_metrics(eager.records);
   const metrics::ClassifiedMetrics want_cls =
       metrics::compute_classified_metrics(eager.records);
 
+  // W = 0 is the whole-stream streaming replay: the same merged pump, so
+  // it matches the retained replay at cross-cluster ties too.
   for (const std::size_t window :
-       {std::size_t{1}, std::size_t{4}, std::size_t{64}}) {
+       {std::size_t{0}, std::size_t{1}, std::size_t{4}, std::size_t{64}}) {
     SCOPED_TRACE("W=" + std::to_string(window));
-    ExperimentConfig windowed = replay_config(path);
+    ExperimentConfig windowed = ties_replay_config(path);
     windowed.retain_records = false;
     windowed.stream_window = window;
     const SimResult got = run_experiment(windowed);
@@ -88,15 +62,19 @@ TEST(SwfSpool, WindowedReplayMatchesRetainedBitIdentically) {
     expect_same_metrics(cls.all, want_cls.all);
     expect_same_metrics(cls.redundant, want_cls.redundant);
     expect_same_metrics(cls.non_redundant, want_cls.non_redundant);
-    // The input side went through the spool: resident trace state is the
-    // checkpoint index plus O(window) buffers, not the whole trace.
-    EXPECT_LT(got.resident_trace_bytes, eager.resident_trace_bytes);
+    // A windowed input went through the spool: resident trace state is
+    // the checkpoint index plus O(window) buffers, not the whole trace.
+    if (window > 0) {
+      EXPECT_LT(got.resident_trace_bytes, eager.resident_trace_bytes);
+    }
   }
 }
 
 TEST(SwfSpool, PdesWindowedReplayMatchesEagerRecordByRecord) {
-  const std::string path = write_ties_trace();
-  ExperimentConfig config = replay_config(path);
+  const util::TempFile trace("rrsim_ties");
+  const std::string& path = trace.path();
+  write_ties_trace(path);
+  ExperimentConfig config = ties_replay_config(path);
   config.pdes = true;
   config.cross_cluster_latency = 60.0;
   config.pdes_jobs = 2;
@@ -128,8 +106,10 @@ TEST(SwfSpool, PdesWindowedReplayMatchesEagerRecordByRecord) {
 }
 
 TEST(SwfSpool, RepeatedWindowedRunsShareOneSpool) {
-  const std::string path = write_ties_trace();
-  ExperimentConfig config = replay_config(path);
+  const util::TempFile trace("rrsim_ties");
+  const std::string& path = trace.path();
+  write_ties_trace(path);
+  ExperimentConfig config = ties_replay_config(path);
   config.retain_records = false;
   config.stream_window = 16;
 
@@ -153,8 +133,10 @@ TEST(SwfSpool, RepeatedWindowedRunsShareOneSpool) {
 TEST(SwfSpool, HorizonAndWidthFiltersMatchTheRetainedSemantics) {
   // The spool is built from the same load_swf_stream the retained path
   // uses, so the job count visible to both modes is the filtered count.
-  const std::string path = write_ties_trace();
-  ExperimentConfig retained = replay_config(path);
+  const util::TempFile trace("rrsim_ties");
+  const std::string& path = trace.path();
+  write_ties_trace(path);
+  ExperimentConfig retained = ties_replay_config(path);
   const SimResult eager = run_experiment(retained);
   workload::JobStream raw = workload::read_swf_file(path);
   std::size_t kept = 0;
@@ -167,7 +149,7 @@ TEST(SwfSpool, HorizonAndWidthFiltersMatchTheRetainedSemantics) {
   ASSERT_LT(kept, raw.size());  // both filters actually engaged
   EXPECT_EQ(eager.jobs_generated, retained.n_clusters * kept);
 
-  ExperimentConfig windowed = replay_config(path);
+  ExperimentConfig windowed = ties_replay_config(path);
   windowed.retain_records = false;
   windowed.stream_window = 4;
   EXPECT_EQ(run_experiment(windowed).jobs_generated, eager.jobs_generated);

@@ -13,7 +13,9 @@
 #include "rrsim/core/campaign.h"
 #include "rrsim/core/paper.h"
 #include "rrsim/metrics/summary.h"
+#include "rrsim/util/temp_file.h"
 #include "rrsim/workload/trace_cache.h"
+#include "ties_fixture.h"
 
 namespace rrsim::core {
 namespace {
@@ -112,7 +114,9 @@ TEST(Windowed, ResidentTraceStateIsBoundedByTheWindow) {
   EXPECT_EQ(eager.resident_trace_bytes,
             eager.jobs_generated * sizeof(workload::JobSpec));
   EXPECT_LT(windowed.resident_trace_bytes, eager.resident_trace_bytes / 4);
-  EXPECT_LT(windowed.live_state_bytes, eager.live_state_bytes);
+  // Both modes run the same job sources through the same pump, so the
+  // window changes only the trace side, never the live simulation state.
+  EXPECT_EQ(windowed.live_state_bytes, eager.live_state_bytes);
 }
 
 TEST(Windowed, PdesKernelMatchesEagerPdesBitIdentically) {
@@ -173,11 +177,44 @@ TEST(Windowed, RelativeCampaignMatchesEagerStreaming) {
   EXPECT_EQ(windowed.win_rate, eager.win_rate);
 }
 
-TEST(Windowed, RejectsRetainedRecordsOnTheClassicKernel) {
-  ExperimentConfig config = streaming_config();
-  config.retain_records = true;
-  config.stream_window = 64;
-  EXPECT_THROW(run_experiment(config), std::invalid_argument);
+TEST(Windowed, RetainedRecordsMatchEagerRetainedRecordByRecord) {
+  // Windowed input and retained records compose: both modes feed the same
+  // job sources through the same pump and differ only in the record sink.
+  const util::TempFile trace("rrsim_windowed_ties");
+  write_ties_trace(trace.path());
+  ExperimentConfig lublin = streaming_config();
+  lublin.retain_records = true;
+  for (ExperimentConfig config : {lublin, ties_replay_config(trace.path())}) {
+    SCOPED_TRACE(config.trace_files.empty() ? "lublin" : "ties swf");
+    const SimResult eager = run_experiment(config);
+    ASSERT_GT(eager.records.size(), 100u);
+    for (const std::size_t window : {std::size_t{1}, std::size_t{64}}) {
+      SCOPED_TRACE("W=" + std::to_string(window));
+      config.stream_window = window;
+      const SimResult windowed = run_experiment(config);
+      EXPECT_FALSE(windowed.streamed);
+      EXPECT_EQ(windowed.jobs_generated, eager.jobs_generated);
+      EXPECT_EQ(windowed.end_time, eager.end_time);
+      ASSERT_EQ(windowed.records.size(), eager.records.size());
+      for (std::size_t i = 0; i < eager.records.size(); ++i) {
+        const metrics::JobRecord& got = windowed.records[i];
+        const metrics::JobRecord& want = eager.records[i];
+        EXPECT_EQ(got.grid_id, want.grid_id) << "record " << i;
+        EXPECT_EQ(got.origin_cluster, want.origin_cluster) << "record " << i;
+        EXPECT_EQ(got.winner_cluster, want.winner_cluster) << "record " << i;
+        EXPECT_EQ(got.redundant, want.redundant) << "record " << i;
+        EXPECT_EQ(got.replicas, want.replicas) << "record " << i;
+        EXPECT_EQ(got.replicas_delivered, want.replicas_delivered)
+            << "record " << i;
+        EXPECT_EQ(got.nodes, want.nodes) << "record " << i;
+        EXPECT_EQ(got.submit_time, want.submit_time) << "record " << i;
+        EXPECT_EQ(got.start_time, want.start_time) << "record " << i;
+        EXPECT_EQ(got.finish_time, want.finish_time) << "record " << i;
+        EXPECT_EQ(got.actual_time, want.actual_time) << "record " << i;
+        EXPECT_EQ(got.requested_time, want.requested_time) << "record " << i;
+      }
+    }
+  }
 }
 
 TEST(Windowed, SwfTraceReplayIsAcceptedAndStillChecksTheFile) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "flow.h"
@@ -305,6 +306,58 @@ struct Api {
   int generate_stream;
 };
 )fix", Category::kSrc).empty());
+}
+
+TEST(LintRules, FixedTempPathFiresInTestsAndTools) {
+  const std::string fixture = R"fix(
+void f() {
+  const std::string a = ::testing::TempDir() + "/rrsim_ties.swf";
+  const auto b = std::filesystem::temp_directory_path() / "trace.swf";
+  const std::string c =
+      std::filesystem::temp_directory_path().string() + "/x.swf";
+  const std::string d = std::string(::testing::TempDir()) + "y.swf";
+}
+)fix";
+  for (const auto& [path, cat] :
+       {std::pair<const char*, Category>{"tests/core/x_test.cpp",
+                                         Category::kTests},
+        {"tools/check/ties_trace.cpp", Category::kSrc}}) {
+    const auto findings = lint_source(path, fixture, cat);
+    ASSERT_EQ(findings.size(), 4u) << path;
+    for (const Finding& f : findings) EXPECT_EQ(f.rule, "fixed-temp-path");
+    EXPECT_EQ(findings[0].line, 3);
+    EXPECT_EQ(findings[1].line, 4);
+    EXPECT_EQ(findings[2].line, 6);
+    EXPECT_EQ(findings[3].line, 7);
+  }
+  // The simulator and the benches are out of scope.
+  EXPECT_TRUE(
+      lint_source("src/workload/window_spool.cpp", fixture, Category::kSrc)
+          .empty());
+  EXPECT_TRUE(
+      lint_source("bench/micro_check.cpp", fixture, Category::kBench).empty());
+}
+
+TEST(LintRules, FixedTempPathIgnoresComputedAndUniqueNames) {
+  const auto findings = lint(R"fix(
+void f(const std::string& basename) {
+  const auto a = std::filesystem::temp_directory_path() / basename;
+  const util::TempFile b("rrsim_ties");
+  const std::string dir = ::testing::TempDir();
+  const char tmpl[] = "/tmp/rrsim-spool-test-XXXXXX";
+}
+)fix", Category::kTests);
+  EXPECT_TRUE(findings.empty()) << findings.size() << " unexpected findings";
+}
+
+TEST(LintRules, FixedTempPathAllowAnnotationSuppresses) {
+  EXPECT_TRUE(lint(R"fix(
+void f() {
+  // rrsim-lint-allow(fixed-temp-path): single-process fixture, never
+  // run under ctest.
+  const std::string a = ::testing::TempDir() + "/only_me.swf";
+}
+)fix", Category::kTests).empty());
 }
 
 TEST(LintRules, SwfFullTraceLoadFiresInCoreAndExecOnly) {

@@ -13,9 +13,10 @@
 //               [--report=path.json] [--quiet]
 //
 // --gen-ties=N writes a synthetic tie-heavy SWF (N 60-second arrival
-// slots, three identical-timestamp jobs each) to the temp directory and
-// replays it — the self-contained worst case for tie cohorts, used by
-// CI's `check` job so no trace fixture needs to live in the repo.
+// slots, three identical-timestamp jobs each) to a uniquely named temp
+// file, removed on exit, and replays it — the self-contained worst case
+// for tie cohorts, used by CI's `check` job so no trace fixture needs to
+// live in the repo.
 //
 // Common experiment flags are the shared bench set (core/options.h):
 // --clusters, --algo, --scheme, --pdes, --latency, --seed, ...
@@ -28,12 +29,14 @@
 // fuzzer over permuted schedules (reported as "oracles_armed").
 #include <cstdio>
 #include <exception>
+#include <optional>
 #include <string>
 
 #include "explore.h"
 #include "rrsim/core/options.h"
 #include "rrsim/core/paper.h"
 #include "rrsim/util/cli.h"
+#include "rrsim/util/temp_file.h"
 #include "ties_trace.h"
 
 namespace {
@@ -58,14 +61,18 @@ int run(int argc, char** argv) {
   if (cli.has("trace")) {
     config.trace_files.push_back(cli.get_string("trace", ""));
   }
+  // Lives until the exploration below has replayed every schedule.
+  std::optional<rrsim::util::TempFile> ties_trace;
   if (cli.has("gen-ties")) {
     const int slots = static_cast<int>(cli.get_int("gen-ties", 120));
     if (slots < 1) {
       std::fprintf(stderr, "rrsim_check: --gen-ties must be >= 1\n");
       return 2;
     }
-    config.trace_files.push_back(rrsim::check::write_ties_trace(
-        slots, /*ties_per_slot=*/3, "rrsim_check_ties.swf"));
+    ties_trace.emplace("rrsim_check_ties");
+    rrsim::check::write_ties_trace(slots, /*ties_per_slot=*/3,
+                                   ties_trace->path());
+    config.trace_files.push_back(ties_trace->path());
   }
 
   rrsim::check::ExploreOptions opts;

@@ -1,13 +1,10 @@
 #include "ties_trace.h"
 
-#include <filesystem>
-
 #include "rrsim/workload/swf.h"
 
 namespace rrsim::check {
 
-std::string write_ties_trace(int slots, int ties_per_slot,
-                             const std::string& basename) {
+void write_ties_trace(int slots, int ties_per_slot, const std::string& path) {
   workload::JobStream stream;
   int i = 0;
   for (int c = 0; c < slots; ++c) {
@@ -20,10 +17,7 @@ std::string write_ties_trace(int slots, int ties_per_slot,
       stream.push_back(job);
     }
   }
-  const std::string path =
-      (std::filesystem::temp_directory_path() / basename).string();
   workload::write_swf_file(path, stream);
-  return path;
 }
 
 }  // namespace rrsim::check

@@ -10,9 +10,8 @@ namespace rrsim::check {
 
 /// Writes `slots` 60-second arrival slots of `ties_per_slot`
 /// identical-timestamp jobs of varied width/length — each slot is a tie
-/// cohort on whichever cluster its jobs land — to `basename` under the
-/// system temp directory and returns the full path.
-std::string write_ties_trace(int slots, int ties_per_slot,
-                             const std::string& basename);
+/// cohort on whichever cluster its jobs land — to `path`, a file the
+/// caller owns (util::TempFile gives each run its own).
+void write_ties_trace(int slots, int ties_per_slot, const std::string& path);
 
 }  // namespace rrsim::check

@@ -31,6 +31,7 @@ constexpr char kBareAllow[] = "bare-allow";
 constexpr char kTieSensitiveCompare[] = "tie-sensitive-compare";
 constexpr char kIterationOrderEscape[] = "iteration-order-escape";
 constexpr char kUnstableSort[] = "unstable-sort";
+constexpr char kFixedTempPath[] = "fixed-temp-path";
 
 const std::vector<RuleInfo> kRules = {
     {kUnorderedContainer,
@@ -82,6 +83,11 @@ const std::vector<RuleInfo> kRules = {
      "std::sort in src/ without a provably total order: elements with a "
      "time-like field and no operator<, or a comparator the linter cannot "
      "analyze; use std::stable_sort or add a stable-id tie-break"},
+    {kFixedTempPath,
+     "string literal joined onto TempDir() / temp_directory_path() in "
+     "tests/ or tools/: every parallel test process shares that name, so "
+     "one truncates the fixture while another reads it; create it with "
+     "util::TempFile (mkstemp) instead"},
 };
 
 // Pass 1 (strip + allow harvesting) and pass 2 (tokenize) live in
@@ -115,7 +121,9 @@ class Scanner {
         findings_(findings),
         stream_rule_applies_(cat == Category::kSrc &&
                              (has_path_component(path, "core") ||
-                              has_path_component(path, "exec"))) {}
+                              has_path_component(path, "exec"))),
+        temp_rule_applies_(cat == Category::kTests ||
+                           has_path_component(path, "tools")) {}
 
   void run(const std::vector<Token>& tokens) {
     tokens_ = &tokens;
@@ -314,6 +322,36 @@ class Scanner {
              "reader, or annotate the sanctioned loader");
     }
 
+    // fixed-temp-path (tests/ + tools/): the temp directory joined with a
+    // literal name, as in TempDir() + "/x.swf" or
+    // temp_directory_path().string() + "/x" or temp_directory_path() / "x".
+    // ctest runs every TEST as its own process, in parallel, so a fixed
+    // name is a shared file. Literals read as a bare `"` token here
+    // because strip() blanks their contents.
+    if (temp_rule_applies_ &&
+        (t.text == "TempDir" || t.text == "temp_directory_path") &&
+        i + 1 < count() && tok(i + 1).text == "(") {
+      std::size_t j = match_paren(i + 1) + 1;
+      for (;;) {
+        if (j < count() && tok(j).text == ")") {
+          ++j;  // closing a wrapper: std::string(TempDir())
+        } else if (j + 3 < count() && tok(j).text == "." &&
+                   tok(j + 1).is_ident && tok(j + 2).text == "(" &&
+                   tok(j + 3).text == ")") {
+          j += 4;  // a no-argument conversion: .string()
+        } else {
+          break;
+        }
+      }
+      if (j + 1 < count() && (tok(j).text == "+" || tok(j).text == "/") &&
+          tok(j + 1).text == "\"") {
+        report(kFixedTempPath, t.line,
+               "fixed file name under the shared temp directory races "
+               "between parallel test processes; create the fixture with "
+               "util::TempFile");
+      }
+    }
+
     // pointer-key: map/set keyed on a pointer, or a pointer-comparing
     // ordering functor.
     if (i + 1 < count() && tok(i + 1).text == "<") {
@@ -501,6 +539,7 @@ class Scanner {
   std::vector<std::size_t> stmt_;
   std::set<std::string> reported_;
   const bool stream_rule_applies_;
+  const bool temp_rule_applies_;
 };
 
 }  // namespace
