@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <ctime>
 #include <exception>
 #include <iostream>
@@ -110,8 +111,32 @@ inline std::size_t peak_rss_bytes() {
   return kib * 1024;
 }
 
+/// The CPU model from /proc/cpuinfo's first "model name" line, with any
+/// JSON-special characters dropped; "unknown" without procfs.
+inline std::string cpu_model() {
+  std::FILE* f = std::fopen("/proc/cpuinfo", "r");
+  if (f == nullptr) return "unknown";
+  std::string model = "unknown";
+  char line[256];
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    if (std::strncmp(line, "model name", 10) != 0) continue;
+    const char* value = std::strchr(line, ':');
+    if (value == nullptr) break;
+    model.clear();
+    for (const char* c = value + 1; *c != '\0' && *c != '\n'; ++c) {
+      if (*c == '"' || *c == '\\') continue;
+      if (model.empty() && *c == ' ') continue;
+      model += *c;
+    }
+    break;
+  }
+  std::fclose(f);
+  return model;
+}
+
 /// Writes the execution-environment fields every BENCH_*.json record
-/// carries (trailing comma included): the machine's hardware concurrency,
+/// carries (trailing comma included): the CPU model and the machine's
+/// hardware concurrency,
 /// the worker count actually used, the process's peak RSS at write time,
 /// the trace-cache counters (how much stream/checkpoint regeneration the
 /// memoization absorbed, and what it holds resident), and a UTC timestamp.
@@ -133,11 +158,12 @@ inline void write_json_env_fields(std::FILE* f, int jobs_used,
     std::strftime(stamp, sizeof stamp, "%Y-%m-%dT%H:%M:%SZ", &utc);
   }
   std::fprintf(f,
+               "  \"cpu_model\": \"%s\",\n"
                "  \"hardware_concurrency\": %u,\n"
                "  \"jobs_used\": %d,\n"
                "  \"peak_rss_bytes\": %zu,\n",
-               std::thread::hardware_concurrency(), jobs_used,
-               peak_rss_bytes());
+               cpu_model().c_str(), std::thread::hardware_concurrency(),
+               jobs_used, peak_rss_bytes());
   if (include_trace_cache) {
     const workload::TraceCache& cache = workload::TraceCache::global();
     std::fprintf(f,

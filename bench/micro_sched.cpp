@@ -3,13 +3,14 @@
 // Replays one redundancy-heavy synthetic workload — a deep queue where
 // most submissions are "losing replicas" cancelled a few seconds later,
 // exactly the cancel storm a redundant-request gateway produces — through
-// FCFS, EASY, the incremental CBF, and an in-file replica of the
-// pre-incremental CBF that rebuilt its availability profile from scratch
-// on every cancel. Reports schedule-passes/sec and cancels/sec per
-// algorithm, verifies the incremental CBF reproduces the rebuild
-// baseline's trace bit-exactly in the same run, and writes the results to
-// BENCH_sched.json so future PRs have a perf trajectory to compare
-// against.
+// FCFS, EASY, the incremental CBF, and two in-file replicas of the designs
+// they replaced: the pre-incremental CBF that rebuilt its availability
+// profile from scratch on every cancel, and the deque-based EASY that
+// searched its queue on every cancel and rescanned it on every event.
+// Reports schedule-passes/sec and cancels/sec per algorithm, verifies
+// that CBF and EASY reproduce their replicas' traces bit-exactly in the
+// same run, and writes the results to BENCH_sched.json so future PRs have
+// a perf trajectory to compare against.
 //
 //   ./micro_sched [--submissions=2500] [--nodes=64]
 //                 [--out=BENCH_sched.json] plus common flags.
@@ -18,6 +19,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <deque>
 #include <memory>
 #include <queue>
 #include <stdexcept>
@@ -149,6 +151,124 @@ class LegacyCbf final : public sched::ClusterScheduler {
 };
 
 // ---------------------------------------------------------------------------
+// Legacy EASY replica: a faithful copy of the deque-based EASY, which found
+// each cancelled job by a linear search, erased it from the middle of a
+// std::deque, and rescanned the whole queue for backfill on every submit,
+// cancel and completion. Kept in-file (mirroring the oracle in
+// tests/sched/easy_incremental_test.cpp) so the pending queue's win stays
+// measurable against the design it replaced.
+class LegacyEasy final : public sched::ClusterScheduler {
+ public:
+  LegacyEasy(des::Simulation& sim, int total_nodes)
+      : ClusterScheduler(sim, total_nodes) {}
+
+  std::string name() const override { return "easy-legacy"; }
+  std::size_t queue_length() const override { return queue_.size(); }
+
+ protected:
+  void handle_submit(sched::Job job) override {
+    queue_.push_back(std::move(job));
+    schedule_pass();
+  }
+
+  sched::Job handle_cancel(sched::JobId id) override {
+    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
+      if (it->id == id) {
+        sched::Job job = *it;
+        queue_.erase(it);
+        schedule_pass();
+        return job;
+      }
+    }
+    throw std::logic_error("legacy easy: cancel of non-pending job");
+  }
+
+  void handle_completion(const sched::Job& job) override {
+    const std::pair<sched::Time, int> key{job.start_time + job.requested_time,
+                                          job.nodes};
+    const auto it =
+        std::lower_bound(running_ends_.begin(), running_ends_.end(), key);
+    if (it == running_ends_.end() || *it != key) {
+      throw std::logic_error("legacy easy: finished job not tracked");
+    }
+    running_ends_.erase(it);
+    schedule_pass();
+  }
+
+  std::vector<const sched::Job*> pending_in_order() const override {
+    std::vector<const sched::Job*> out;
+    out.reserve(queue_.size());
+    for (const sched::Job& j : queue_) out.push_back(&j);
+    return out;
+  }
+
+ private:
+  struct Shadow {
+    sched::Time time = 0.0;
+    int extra = 0;
+  };
+
+  Shadow compute_shadow() const {
+    const sched::Job& head = queue_.front();
+    int avail = free_nodes();
+    for (const auto& [end, nodes] : running_ends_) {
+      avail += nodes;
+      if (avail >= head.nodes) return Shadow{end, avail - head.nodes};
+    }
+    throw std::logic_error("legacy easy: shadow not found");
+  }
+
+  bool start_and_track(sched::Job job) {
+    const sched::Time end = sim_.now() + job.requested_time;
+    const int nodes = job.nodes;
+    if (!try_start(std::move(job))) return false;
+    const std::pair<sched::Time, int> key{end, nodes};
+    running_ends_.insert(
+        std::upper_bound(running_ends_.begin(), running_ends_.end(), key),
+        key);
+    return true;
+  }
+
+  void schedule_pass() {
+    count_pass();
+    for (;;) {
+      while (!queue_.empty() && queue_.front().nodes <= free_nodes()) {
+        sched::Job job = std::move(queue_.front());
+        queue_.pop_front();
+        start_and_track(std::move(job));
+      }
+      if (queue_.empty()) return;
+
+      Shadow shadow = compute_shadow();
+      const sched::Time now = sim_.now();
+      bool queue_changed = false;
+      for (auto it = std::next(queue_.begin());
+           it != queue_.end() && free_nodes() > 0;) {
+        const bool fits_now = it->nodes <= free_nodes();
+        const bool ends_before_shadow =
+            now + it->requested_time <= shadow.time;
+        const bool within_extra = it->nodes <= shadow.extra;
+        if (fits_now && (ends_before_shadow || within_extra)) {
+          sched::Job job = *it;
+          it = queue_.erase(it);
+          if (!ends_before_shadow) shadow.extra -= job.nodes;
+          if (!start_and_track(std::move(job))) {
+            queue_changed = true;
+            break;
+          }
+        } else {
+          ++it;
+        }
+      }
+      if (!queue_changed) return;
+    }
+  }
+
+  std::deque<sched::Job> queue_;
+  std::vector<std::pair<sched::Time, int>> running_ends_;
+};
+
+// ---------------------------------------------------------------------------
 // The workload: a cancel storm over an ever-deepening queue.
 //
 // Arrivals outpace the cluster by design (the paper's overload regime), so
@@ -270,13 +390,16 @@ int main(int argc, char** argv) {
         "one redundancy-heavy workload (%d submissions, 75%% cancelled as\n"
         "losing replicas, %d nodes) replayed through each scheduler;\n"
         "cbf-rebuild is the pre-incremental design (full profile rebuild\n"
-        "per cancel) and must produce a bit-identical trace to cbf\n\n",
+        "per cancel) and must produce a bit-identical trace to cbf;\n"
+        "easy-legacy is the deque-based EASY and must match easy\n\n",
         submissions, nodes);
 
     const Workload w = make_workload(submissions, nodes, 20260807);
 
     const RunResult fcfs = run_workload<sched::FcfsScheduler>(w, nodes);
     print_row("fcfs", fcfs);
+    const RunResult easy_legacy = run_workload<LegacyEasy>(w, nodes);
+    print_row("easy-legacy", easy_legacy);
     const RunResult easy = run_workload<sched::EasyScheduler>(w, nodes);
     print_row("easy", easy);
     const RunResult legacy = run_workload<LegacyCbf>(w, nodes);
@@ -287,15 +410,23 @@ int main(int argc, char** argv) {
     // The behaviour-preservation contract, enforced in the same run that
     // measures the speedup: same starts, same finishes, same cancel
     // outcomes, same number of scheduling passes, same start times.
-    if (cbf.counters.starts != legacy.counters.starts ||
-        cbf.counters.finishes != legacy.counters.finishes ||
-        cbf.counters.cancels != legacy.counters.cancels ||
-        cbf.counters.sched_passes != legacy.counters.sched_passes ||
-        cbf.cancels_issued != legacy.cancels_issued ||
-        cbf.start_time_sum != legacy.start_time_sum) {
+    const auto same_trace = [](const RunResult& a, const RunResult& b) {
+      return a.counters.starts == b.counters.starts &&
+             a.counters.finishes == b.counters.finishes &&
+             a.counters.cancels == b.counters.cancels &&
+             a.counters.sched_passes == b.counters.sched_passes &&
+             a.cancels_issued == b.cancels_issued &&
+             a.start_time_sum == b.start_time_sum;
+    };
+    if (!same_trace(cbf, legacy)) {
       throw std::runtime_error(
           "equivalence violation: incremental cbf diverged from the "
           "rebuild baseline");
+    }
+    if (!same_trace(easy, easy_legacy)) {
+      throw std::runtime_error(
+          "equivalence violation: easy diverged from the deque-based "
+          "baseline");
     }
 
     const double speedup = legacy.elapsed / cbf.elapsed;
@@ -304,6 +435,9 @@ int main(int argc, char** argv) {
         "fallbacks, traces bit-identical)\n",
         speedup, static_cast<unsigned long long>(cbf.counters.cancels),
         static_cast<unsigned long long>(cbf.rebuilds));
+    const double easy_speedup = easy_legacy.elapsed / easy.elapsed;
+    std::printf("easy pending queue vs deque: %.2fx  (traces bit-identical)\n",
+                easy_speedup);
 
     std::FILE* f = std::fopen(out_path.c_str(), "w");
     if (f == nullptr) {
@@ -322,6 +456,9 @@ int main(int argc, char** argv) {
                  "  \"fcfs_cancels_per_sec\": %.0f,\n"
                  "  \"easy_passes_per_sec\": %.0f,\n"
                  "  \"easy_cancels_per_sec\": %.0f,\n"
+                 "  \"easy_seconds\": %.4f,\n"
+                 "  \"easy_legacy_seconds\": %.4f,\n"
+                 "  \"easy_speedup_vs_legacy\": %.4f,\n"
                  "  \"cbf_rebuild_seconds\": %.4f,\n"
                  "  \"cbf_rebuild_passes_per_sec\": %.0f,\n"
                  "  \"cbf_rebuild_cancels_per_sec\": %.0f,\n"
@@ -336,7 +473,8 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(cbf.counters.cancels),
                  cbf.peak_queue, fcfs.passes_per_sec(),
                  fcfs.cancels_per_sec(), easy.passes_per_sec(),
-                 easy.cancels_per_sec(), legacy.elapsed,
+                 easy.cancels_per_sec(), easy.elapsed, easy_legacy.elapsed,
+                 easy_speedup, legacy.elapsed,
                  legacy.passes_per_sec(), legacy.cancels_per_sec(),
                  cbf.elapsed, cbf.passes_per_sec(), cbf.cancels_per_sec(),
                  static_cast<unsigned long long>(cbf.rebuilds), speedup);

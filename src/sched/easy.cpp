@@ -6,20 +6,26 @@
 namespace rrsim::sched {
 
 void EasyScheduler::handle_submit(Job job) {
-  queue_.push_back(std::move(job));
-  schedule_pass();
+  const std::size_t slot = queue_.push_back(std::move(job));
+  if (clean_) {
+    backfill_tail(slot);
+  } else {
+    schedule_pass();
+  }
+  settle_queue();
 }
 
 Job EasyScheduler::handle_cancel(JobId id) {
-  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    if (it->id == id) {
-      Job job = *it;
-      queue_.erase(it);
-      schedule_pass();  // cancellation opens backfill opportunities
-      return job;
-    }
+  const std::size_t slot = queue_.slot_of(id);
+  if (slot == queue_.head()) clean_ = false;  // the shadow belonged to it
+  Job job = queue_.take(slot);
+  if (clean_) {
+    count_pass();  // every other job would be rejected again
+  } else {
+    schedule_pass();  // cancellation opens backfill opportunities
   }
-  throw std::logic_error("easy: cancel of non-pending job");
+  settle_queue();
+  return job;
 }
 
 void EasyScheduler::handle_completion(const Job& job) {
@@ -35,12 +41,20 @@ void EasyScheduler::handle_completion(const Job& job) {
   validate_ends();
 #endif
   schedule_pass();
+  settle_queue();
+}
+
+void EasyScheduler::settle_queue() {
+  queue_.compact_if_sparse();
+#if RRSIM_VALIDATE_ENABLED
+  validate_queue();
+#endif
 }
 
 std::vector<const Job*> EasyScheduler::pending_in_order() const {
   std::vector<const Job*> out;
   out.reserve(queue_.size());
-  for (const Job& j : queue_) out.push_back(&j);
+  queue_.for_each([&out](const Job& j) { out.push_back(&j); });
   return out;
 }
 
@@ -81,12 +95,11 @@ bool EasyScheduler::start_and_track(Job job) {
 
 void EasyScheduler::schedule_pass() {
   count_pass();
+  clean_ = false;
   for (;;) {
     // Phase 1: strict FCFS starts from the head.
     while (!queue_.empty() && queue_.front().nodes <= free_nodes()) {
-      Job job = std::move(queue_.front());
-      queue_.pop_front();
-      start_and_track(std::move(job));
+      start_and_track(queue_.take(queue_.head()));
     }
     if (queue_.empty()) return;
 
@@ -95,29 +108,62 @@ void EasyScheduler::schedule_pass() {
     // backfilled job that may outlive the shadow consumes `extra`.
     Shadow shadow = compute_shadow();
     const Time now = sim_.now();
-    bool queue_changed = false;  // a decline invalidates iterators/shadow
-    for (auto it = std::next(queue_.begin());
-         it != queue_.end() && free_nodes() > 0;) {
-      const bool fits_now = it->nodes <= free_nodes();
-      const bool ends_before_shadow =
-          now + it->requested_time <= shadow.time;
-      const bool within_extra = it->nodes <= shadow.extra;
-      if (fits_now && (ends_before_shadow || within_extra)) {
-        Job job = *it;
-        it = queue_.erase(it);
-        if (!ends_before_shadow) shadow.extra -= job.nodes;
-        if (!start_and_track(std::move(job))) {
-          // Decline: the start did not happen, so the shadow bookkeeping
-          // above may now be stale; restart the whole pass.
-          queue_changed = true;
-          break;
-        }
-      } else {
-        ++it;
+    bool started = false;
+    bool declined = false;  // a decline makes the shadow bookkeeping stale
+    for (std::size_t i = queue_.head() + 1;
+         i < queue_.end() && free_nodes() > 0; ++i) {
+      const PendingQueue::Key key = queue_.key(i);
+      if (!backfills(key, now, shadow)) continue;
+      const bool ends_before_shadow = now + key.requested_time <= shadow.time;
+      if (!ends_before_shadow) shadow.extra -= key.nodes;
+      started = true;
+      if (!start_and_track(queue_.take(i))) {
+        // Decline: the start did not happen, so the shadow bookkeeping
+        // above may now be stale; restart the whole pass.
+        declined = true;
+        break;
       }
     }
-    if (!queue_changed) return;
+    if (declined) continue;
+    // Clean when a rescan would compute this same shadow: then every job
+    // it tests sees no more free nodes and no more extra than this scan
+    // did. A backfilled job whose requested end ties the shadow time can
+    // move compute_shadow's first crossing, so a fresh shadow's extra can
+    // differ from the incremental one; then the queue stays dirty.
+    clean_ = !started || shadow == compute_shadow();
+    shadow_ = shadow;
+    return;
   }
 }
+
+void EasyScheduler::backfill_tail(std::size_t slot) {
+  count_pass();
+  const Time now = sim_.now();
+  const PendingQueue::Key key = queue_.key(slot);
+  if (!backfills(key, now, shadow_)) return;
+  const bool ends_before_shadow = now + key.requested_time <= shadow_.time;
+  // A decline leaves the clean state exactly as it was: the full pass
+  // would restart, recompute the same shadow and start nothing.
+  if (!start_and_track(queue_.take(slot))) return;
+  if (!ends_before_shadow) shadow_.extra -= key.nodes;
+  clean_ = shadow_ == compute_shadow();
+}
+
+#if RRSIM_VALIDATE_ENABLED
+void EasyScheduler::validate_queue() const {
+  queue_.validate();
+  if (!clean_) return;
+  RRSIM_CHECK(!queue_.empty(), "easy: empty queue marked clean");
+  RRSIM_CHECK(queue_.front().nodes > free_nodes(),
+              "easy: queue marked clean while its head fits");
+  RRSIM_CHECK(compute_shadow() == shadow_,
+              "easy: cached shadow differs from a fresh one");
+  const Time now = sim_.now();
+  for (std::size_t i = queue_.head() + 1; i < queue_.end(); ++i) {
+    RRSIM_CHECK(!backfills(queue_.key(i), now, shadow_),
+                "easy: skipped rescan would have backfilled a job");
+  }
+}
+#endif
 
 }  // namespace rrsim::sched

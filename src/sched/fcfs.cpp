@@ -1,7 +1,5 @@
 #include "rrsim/sched/fcfs.h"
 
-#include <stdexcept>
-
 namespace rrsim::sched {
 
 void FcfsScheduler::handle_submit(Job job) {
@@ -10,15 +8,9 @@ void FcfsScheduler::handle_submit(Job job) {
 }
 
 Job FcfsScheduler::handle_cancel(JobId id) {
-  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    if (it->id == id) {
-      Job job = *it;
-      queue_.erase(it);
-      schedule_pass();  // removing the head may unblock successors
-      return job;
-    }
-  }
-  throw std::logic_error("fcfs: cancel of non-pending job");
+  Job job = queue_.take(queue_.slot_of(id));
+  schedule_pass();  // removing the head may unblock successors
+  return job;
 }
 
 void FcfsScheduler::handle_completion(const Job&) { schedule_pass(); }
@@ -26,17 +18,16 @@ void FcfsScheduler::handle_completion(const Job&) { schedule_pass(); }
 std::vector<const Job*> FcfsScheduler::pending_in_order() const {
   std::vector<const Job*> out;
   out.reserve(queue_.size());
-  for (const Job& j : queue_) out.push_back(&j);
+  queue_.for_each([&out](const Job& j) { out.push_back(&j); });
   return out;
 }
 
 void FcfsScheduler::schedule_pass() {
   count_pass();
   while (!queue_.empty() && queue_.front().nodes <= free_nodes()) {
-    Job job = std::move(queue_.front());
-    queue_.pop_front();
-    try_start(std::move(job));  // declined jobs simply leave the queue
+    try_start(queue_.take(queue_.head()));  // declined jobs simply leave
   }
+  queue_.compact_if_sparse();
 }
 
 }  // namespace rrsim::sched

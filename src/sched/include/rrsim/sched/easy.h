@@ -4,12 +4,21 @@
 // *requested* end times); any later job may jump ahead if starting it now
 // cannot delay that reservation. The paper calls EASY "representative of
 // algorithms running in deployed systems today".
+//
+// Pending jobs live in a PendingQueue (O(1) cancel, a compact scan key).
+// Every submit, cancel and completion runs one counted scheduling pass,
+// but a pass that provably starts nothing skips the backfill rescan: after
+// a full pass the queue is marked *clean* when a rescan in that state
+// would start nothing and compute the same shadow. Until a completion or
+// a head cancel dirties it, a non-head cancel is a no-op pass and a submit
+// only tests the new tail job. Starts, counters and shadows are exactly
+// those of the full rescan on every event.
 #pragma once
 
-#include <deque>
 #include <utility>
 #include <vector>
 
+#include "rrsim/sched/pending_queue.h"
 #include "rrsim/sched/scheduler.h"
 
 namespace rrsim::sched {
@@ -26,12 +35,12 @@ class EasyScheduler final : public ClusterScheduler {
   void reset() override {
     ClusterScheduler::reset();
     queue_.clear();
+    clean_ = false;
     running_ends_.clear();
   }
 
   std::size_t live_state_bytes() const noexcept override {
-    return ClusterScheduler::live_state_bytes() +
-           queue_.size() * sizeof(Job) +
+    return ClusterScheduler::live_state_bytes() + queue_.memory_bytes() +
            running_ends_.capacity() * sizeof(running_ends_[0]);
   }
 
@@ -44,6 +53,7 @@ class EasyScheduler final : public ClusterScheduler {
   void debug_validate() const override {
     ClusterScheduler::debug_validate();
     validate_ends();
+    validate_queue();
   }
 #endif
 
@@ -57,6 +67,10 @@ class EasyScheduler final : public ClusterScheduler {
   struct Shadow {
     Time time = 0.0;  ///< when the head can start, at the latest
     int extra = 0;    ///< nodes free at that moment beyond the head's need
+
+    bool operator==(const Shadow& o) const noexcept {
+      return time == o.time && extra == o.extra;
+    }
   };
 
   /// Computes the head's shadow by walking running_ends_ in end order.
@@ -65,7 +79,27 @@ class EasyScheduler final : public ClusterScheduler {
 
   /// One full scheduling pass: start from the head while possible, then
   /// backfill. Re-runs itself after any decline (queue shape changed).
+  /// Leaves the queue clean when a rescan would start nothing.
   void schedule_pass();
+
+  /// The pass a submit runs on a clean queue: the head and the shadow are
+  /// unchanged and every older job would be rejected again, so only the
+  /// new tail job in `slot` is tested.
+  void backfill_tail(std::size_t slot);
+
+  /// Runs after every event's pass: compacts the queue (slot numbers may
+  /// change only here, never during a scan) and, in validate builds,
+  /// checks it.
+  void settle_queue();
+
+  /// The backfill test of one slot against `shadow` at `now`; a tombstone
+  /// never passes (its node count exceeds any free count).
+  bool backfills(const PendingQueue::Key& key, Time now,
+                 const Shadow& shadow) const noexcept {
+    return key.nodes <= free_nodes() &&
+           (now + key.requested_time <= shadow.time ||
+            key.nodes <= shadow.extra);
+  }
 
   /// Starts `job` via try_start and, on success, records its requested
   /// end in running_ends_. `now + job.requested_time` must be computed
@@ -83,9 +117,21 @@ class EasyScheduler final : public ClusterScheduler {
                   "easy: running_ends_ lost its sort order");
     }
   }
+
+  /// The pending queue's own invariants, plus the soundness of skipping:
+  /// while the queue is clean, a full rescan now would start nothing and
+  /// would compute the cached shadow.
+  void validate_queue() const;
 #endif
 
-  std::deque<Job> queue_;
+  PendingQueue queue_;
+  /// Set after a pass when a full rescan in the current state would start
+  /// nothing and compute `shadow_`. Skipping is exact because during a
+  /// scan free nodes and shadow.extra only shrink, and
+  /// `now + requested_time <= shadow.time` can only turn false as `now`
+  /// grows, so a job rejected once stays rejected.
+  bool clean_ = false;
+  Shadow shadow_;  ///< the head's shadow while clean_
   /// Running jobs as (requested_end, nodes), kept sorted across
   /// start/finish so compute_shadow never re-sorts the running set. The
   /// pair ordering matches what sorting running_requested_ends() yielded.

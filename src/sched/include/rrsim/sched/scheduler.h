@@ -146,8 +146,7 @@ class ClusterScheduler {
   /// per-job tables (lifecycle index, predictions, running set, per-user
   /// counts) plus the algorithm's own pending structures. Capacity-based,
   /// so it reports the run's high-water footprint even after erasures —
-  /// the number the memory-budget benches track. Deque-backed queues are
-  /// counted at current size (std::deque exposes no capacity).
+  /// the number the memory-budget benches track.
   virtual std::size_t live_state_bytes() const noexcept;
 
   /// Returns the scheduler to its just-constructed state — empty queue,
