@@ -107,6 +107,12 @@ std::vector<ThroughputPoint> measure_throughput(
     ThroughputPoint p;
     p.queue_size = depth;
     p.pairs_per_sec = secs > 0.0 ? static_cast<double>(pairs) / secs : 0.0;
+    // Each pair is two operations, each paying the fixed cost once.
+    p.work_per_pair =
+        static_cast<double>(fe.work_performed() +
+                            2 * static_cast<std::uint64_t>(pairs) *
+                                fe.base_op_work()) /
+        static_cast<double>(pairs);
     out.push_back(p);
   }
   return out;

@@ -61,6 +61,9 @@ class FrontEnd {
   /// queue_size). Exposed for tests.
   std::uint64_t work_performed() const noexcept { return work_; }
 
+  /// Fixed per-operation cost, in the same work units.
+  std::uint64_t base_op_work() const noexcept { return base_op_work_; }
+
   /// Accumulator of the fixed-cost computation; reading it keeps the
   /// work observable (and un-elidable) to the optimiser.
   double ballast() const noexcept { return ballast_; }
@@ -85,12 +88,16 @@ class FrontEnd {
 struct ThroughputPoint {
   std::size_t queue_size = 0;
   double pairs_per_sec = 0.0;  ///< submit+cancel *pairs* per wall second
+  /// Work units (fixed plus queue-proportional) per pair: the
+  /// deterministic cost behind pairs_per_sec, independent of host load.
+  double work_per_pair = 0.0;
 };
 
 /// Measures submit/cancel-pair throughput at each queue depth in
 /// `queue_sizes`: fills the front-end to the depth, then times `pairs`
-/// submit+cancel-head pairs with a monotonic clock. One fresh FrontEnd
-/// per depth. Throws std::invalid_argument if pairs < 1.
+/// submit+cancel-head pairs with a monotonic clock, and counts the work
+/// units they performed. One fresh FrontEnd per depth. Throws
+/// std::invalid_argument if pairs < 1.
 std::vector<ThroughputPoint> measure_throughput(
     int cluster_nodes, const std::vector<std::size_t>& queue_sizes,
     int pairs, util::Rng& rng);

@@ -1,5 +1,6 @@
 #include "rrsim/sched/cbf.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -38,8 +39,7 @@ void CbfScheduler::handle_submit(Job job) {
   // behind; submissions are the steady pulse that sweeps them.
   profile_.prune_before(now);
   const Time s =
-      profile_.earliest_start(now, job.nodes, job.requested_time);
-  profile_.reserve(s, job.requested_time, job.nodes);
+      profile_.reserve_earliest(now, job.nodes, job.requested_time);
   record_prediction(job.id, s);  // the Section 5 predictor
   const JobId id = job.id;
   const std::uint64_t seq = next_seq_++;
@@ -62,10 +62,10 @@ Job CbfScheduler::handle_cancel(JobId id) {
   const Time r = queue_[k].reserved_start;
   erase_entry(k);
   if (compress_ && incremental_base_ok()) {
-    // Freed slot: drop the reservation in place and pull the suffix
-    // earlier. The prefix cannot move (its slots depend only on the
-    // running set and earlier positions), so this equals a rebuild.
-    release_reservation(r, job.requested_time, job.nodes);
+    // Freed slot: drop the reservation and pull the suffix earlier. The
+    // prefix cannot move (its slots depend only on the running set and
+    // earlier positions), so this equals a rebuild.
+    stage_release(r, job.requested_time, job.nodes);
     compress_from(k);
   } else {
     rebuild_profile();
@@ -92,7 +92,7 @@ void CbfScheduler::handle_completion(const Job& job) {
       // every reservation as early as possible.
       const Time now = sim_.now();
       if (stored_end > now) {
-        profile_.release_until(now, stored_end, job.nodes);
+        freed_.push_back(Profile::Interval{now, stored_end, job.nodes});
       }
       compress_from(0);
     } else {
@@ -134,17 +134,14 @@ void CbfScheduler::erase_entry(std::size_t k) {
   }
 }
 
-void CbfScheduler::release_reservation(Time r, Time req, int nodes) {
-  const Time now = sim_.now();
-  if (r >= now) {
-    profile_.release(r, req, nodes);
-    return;
-  }
-  // Reservation already partially in the past (a due-but-blocked job):
-  // only its future part is releasable. The end boundary must be the
-  // exact breakpoint reserve() created, hence the absolute-interval form.
+void CbfScheduler::stage_release(Time r, Time req, int nodes) {
+  // A reservation already partly in the past (a due-but-blocked job) is
+  // releasable only from `now` on. The end must be the exact breakpoint
+  // the reservation created, so it is recomputed with the same expression
+  // (r + req), never round-tripped through a duration.
+  const Time start = std::max(r, sim_.now());
   const Time end = r + req;
-  if (end > now) profile_.release_until(now, end, nodes);
+  if (end > start) freed_.push_back(Profile::Interval{start, end, nodes});
 }
 
 bool CbfScheduler::incremental_base_ok() const {
@@ -161,20 +158,22 @@ bool CbfScheduler::incremental_base_ok() const {
 
 void CbfScheduler::compress_from(std::size_t from_pos) {
   count_pass();
+  ++compressions_;
   const Time now = sim_.now();
   // Release the whole suffix before re-reserving any of it: re-reserving
   // one job at a time around still-standing later reservations is NOT
   // equivalent to a rebuild (a later job can grab the freed slot first).
+  // The suffix goes back together with the freed footprint, in one merge.
   for (std::size_t i = from_pos; i < queue_.size(); ++i) {
     const Entry& e = queue_[i];
-    release_reservation(e.reserved_start, e.job.requested_time,
-                        e.job.nodes);
+    stage_release(e.reserved_start, e.job.requested_time, e.job.nodes);
   }
+  profile_.release_all(freed_);
+  freed_.clear();
   for (std::size_t i = from_pos; i < queue_.size(); ++i) {
     Entry& e = queue_[i];
     const Time s =
-        profile_.earliest_start(now, e.job.nodes, e.job.requested_time);
-    profile_.reserve(s, e.job.requested_time, e.job.nodes);
+        profile_.reserve_earliest(now, e.job.nodes, e.job.requested_time);
     if (s != e.reserved_start) {
       e.reserved_start = s;
       heap_.push(HeapEntry{s, e.seq, e.job.id});
@@ -199,8 +198,7 @@ void CbfScheduler::rebuild_profile() {
   }
   for (Entry& e : queue_) {
     const Time s =
-        profile_.earliest_start(now, e.job.nodes, e.job.requested_time);
-    profile_.reserve(s, e.job.requested_time, e.job.nodes);
+        profile_.reserve_earliest(now, e.job.nodes, e.job.requested_time);
     if (s != e.reserved_start) {
       e.reserved_start = s;
       heap_.push(HeapEntry{s, e.seq, e.job.id});
@@ -250,7 +248,7 @@ void CbfScheduler::dispatch_ready() {
       // Declined: its reservation must be released so later jobs can
       // move up.
       if (compress_ && incremental_base_ok()) {
-        release_reservation(r, req, nodes);
+        stage_release(r, req, nodes);
         compress_from(k);
       } else {
         rebuild_profile();
@@ -302,8 +300,7 @@ void CbfScheduler::verify_against_rebuild() {
   bool ok = true;
   for (const Entry& e : queue_) {
     const Time s =
-        oracle.earliest_start(now, e.job.nodes, e.job.requested_time);
-    oracle.reserve(s, e.job.requested_time, e.job.nodes);
+        oracle.reserve_earliest(now, e.job.nodes, e.job.requested_time);
     if (s != e.reserved_start) ok = false;
   }
   if (ok && profile_.future_equals(oracle, now)) return;

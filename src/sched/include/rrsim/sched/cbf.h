@@ -5,12 +5,15 @@
 // reservation made at submit time doubles as the scheduler's queue-wait
 // prediction, which Section 5 of the paper studies.
 //
-// The implementation is incremental: cancels, declines and early
-// completions release their reservation in place (Profile::release) and
-// re-reserve only the queue suffix whose slots can actually move, instead
-// of rebuilding the whole profile from scratch. Redundant-request
-// workloads are cancel-heavy by construction (degree N costs up to N-1
-// cancels per grid job), so this is the scheduler's hottest path.
+// The implementation is incremental: a cancel, decline or early
+// completion re-reserves only the queue suffix whose slots can actually
+// move, instead of rebuilding the whole profile from scratch. The freed
+// footprint and the suffix's reservations go back into the profile in one
+// merge (Profile::release_all), and each suffix job is then re-reserved by
+// one scan that finds and subtracts its slot (Profile::reserve_earliest).
+// Redundant-request workloads are cancel-heavy by construction (degree N
+// costs up to N-1 cancels per grid job), and this re-reservation loop is
+// where CBF spends its time.
 #pragma once
 
 #include <cstdint>
@@ -63,10 +66,18 @@ class CbfScheduler final : public ClusterScheduler {
   }
 
   /// Number of from-scratch profile rebuilds performed (the fallback
-  /// path). With compression enabled this should be a small fraction of
-  /// cancels — it only runs when incremental_base_ok() detects that a
-  /// rebuild's floating-point snapping would not be a no-op.
+  /// path). With compression enabled it runs when incremental_base_ok()
+  /// fails: a running footprint's stored end differs from its requested
+  /// end (left by an earlier rebuild's re-snap), or a rebuild's
+  /// floating-point snap would move it. That is not rare: a rebuild
+  /// re-snaps footprints, which makes the next check fail too, and on the
+  /// Table 4 protocol about a third of compress decisions end in a
+  /// rebuild (compare compressions()).
   std::uint64_t rebuilds() const noexcept { return rebuilds_; }
+
+  /// Number of incremental suffix compressions performed; with rebuilds()
+  /// it splits the compress decisions between the two paths.
+  std::uint64_t compressions() const noexcept { return compressions_; }
 
   std::size_t live_state_bytes() const noexcept override {
     return ClusterScheduler::live_state_bytes() +
@@ -85,6 +96,7 @@ class CbfScheduler final : public ClusterScheduler {
     wakeup_ = {};  // the underlying event died with the Simulation reset
     self_check_fallbacks_ = 0;
     rebuilds_ = 0;
+    compressions_ = 0;
   }
 
 #if RRSIM_VALIDATE_ENABLED
@@ -133,9 +145,10 @@ class CbfScheduler final : public ClusterScheduler {
   /// Removes queue position `k`, keeping the id->position index in step.
   void erase_entry(std::size_t k);
 
-  /// Releases reservation [r, r+req) from the profile, clipped to the
-  /// future (the part before `now` may already have been pruned).
-  void release_reservation(Time r, Time req, int nodes);
+  /// Queues reservation [r, r+req) for the next compress_from() to
+  /// release, clipped to the future (the part before `now` may already
+  /// have been pruned).
+  void stage_release(Time r, Time req, int nodes);
 
   /// True if an incremental compression would reproduce a from-scratch
   /// rebuild bit-exactly. A rebuild re-reserves every running footprint
@@ -146,8 +159,9 @@ class CbfScheduler final : public ClusterScheduler {
   /// stored breakpoint is still the job's true requested end. O(running).
   bool incremental_base_ok() const;
 
-  /// Compression after capacity was freed: releases every reservation at
-  /// queue position >= from_pos and greedily re-reserves them in FCFS
+  /// Compression after capacity was freed: releases the staged freed_
+  /// intervals and every reservation at queue position >= from_pos in one
+  /// Profile::release_all, then greedily re-reserves the suffix in FCFS
   /// order. Positions before from_pos cannot move — a job's reservation
   /// depends only on the running set and *earlier* queue positions — so
   /// this computes exactly what a from-scratch rebuild would, touching
@@ -190,9 +204,13 @@ class CbfScheduler final : public ClusterScheduler {
   std::uint64_t next_seq_ = 0;
   des::Simulation::EventHandle wakeup_;
 
+  /// Intervals staged for the next compress_from(); empty in between.
+  std::vector<Profile::Interval> freed_;
+
   bool self_check_ = false;
   std::uint64_t self_check_fallbacks_ = 0;
   std::uint64_t rebuilds_ = 0;
+  std::uint64_t compressions_ = 0;
   Profile rebuild_scratch_;
 };
 

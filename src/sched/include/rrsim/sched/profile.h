@@ -16,12 +16,17 @@ using des::Time;
 ///
 /// Represented as breakpoints (t_i, free_i), sorted by t_i, meaning
 /// `free_i` nodes are available on [t_i, t_{i+1}); the last segment extends
-/// to infinity. Reservations subtract capacity over an interval and
-/// release() adds it back in place, so cancel-heavy callers (CBF under
-/// redundant-request churn) never rebuild from scratch. The representation
-/// is kept canonical — adjacent segments always have distinct levels — and
-/// point lookups remember the last segment touched, so the sequential
-/// access pattern of backfilling scans stays O(1) per step.
+/// to infinity. The representation is kept canonical — adjacent segments
+/// always have distinct levels — so a free-node function has exactly one
+/// representation, and point lookups remember the last segment touched, so
+/// the sequential access pattern of backfilling scans stays O(1) per step.
+///
+/// CBF under redundant-request churn drives three operations, each one
+/// pass over the breakpoints: reserve_earliest() finds the earliest slot
+/// and subtracts it in the same scan (a failed window resumes after the
+/// segment that blocked it, not at the next anchor); release_all() adds
+/// the freed footprint and the whole queue suffix's reservations back in
+/// one sorted merge; and prune_before() drops expired breakpoints.
 class Profile {
  public:
   /// A profile with `total_nodes` free everywhere. Throws
@@ -44,24 +49,45 @@ class Profile {
   /// if nodes > total or nodes < 1 or duration <= 0.
   Time earliest_start(Time from, int nodes, Time duration) const;
 
+  /// earliest_start() followed by reserve() at the slot it found, in one
+  /// scan: the search already knows the segments holding both ends of the
+  /// window. Returns the start. The result — slot and breakpoints — is
+  /// bit-identical to the two separate calls. Same preconditions and
+  /// exceptions as earliest_start(); the profile is unchanged when it
+  /// throws.
+  Time reserve_earliest(Time from, int nodes, Time duration);
+
   /// Removes `nodes` nodes from the free count over
   /// [start, start + duration). Throws std::logic_error if that would make
   /// any segment negative (callers must reserve only feasible slots); the
   /// profile is unchanged when it throws.
   void reserve(Time start, Time duration, int nodes);
 
-  /// Exact inverse of reserve(): adds `nodes` back over
-  /// [start, start + duration). Throws std::logic_error if that would push
-  /// any segment above total_nodes() — i.e. if no matching reservation
-  /// covers the interval; the profile is unchanged when it throws.
-  void release(Time start, Time duration, int nodes);
+  /// One capacity interval for release_all(): `nodes` over [start, end).
+  struct Interval {
+    Time start;
+    Time end;
+    int nodes;
+  };
 
-  /// release() with an absolute interval [start, end). Callers releasing
-  /// the *tail* of a reservation (from "now" to its end) must use this
-  /// form: the end boundary has to hit the breakpoint the original
-  /// reserve() created bit-exactly, and round-tripping it through a
-  /// duration (`end - start`) can move it by an ulp.
-  void release_until(Time start, Time end, int nodes);
+  /// Exact inverse of reserve(), for many intervals at once: adds each
+  /// interval's `nodes` back over [start, end) in one merge pass over the
+  /// breakpoints, then recanonicalises. Integer deltas commute and the
+  /// canonical form is unique, so the result is bit-identical to releasing
+  /// the intervals one at a time, in any order.
+  ///
+  /// Intervals are absolute. A caller releasing a reservation, or its
+  /// tail from "now", must pass the end the reservation was made with
+  /// (`start + duration`, as reserve() computed it): round-tripping it
+  /// through a duration (`end - start`) can move it by an ulp and leave a
+  /// stray breakpoint behind.
+  ///
+  /// Throws std::invalid_argument if an interval is empty (end <= start),
+  /// has nodes < 1 or starts before the first breakpoint, and
+  /// std::logic_error if the sum would push any segment above
+  /// total_nodes() — i.e. if no matching reservation covers an interval.
+  /// The profile is unchanged when it throws.
+  void release_all(const std::vector<Interval>& intervals);
 
   /// Returns to the fully-free state without releasing storage, so a
   /// scratch profile can be reused across predictions/rebuilds with no
@@ -103,13 +129,20 @@ class Profile {
   /// the previous one skip the binary search).
   std::size_t segment_index(Time t) const;
 
+  /// Where the earliest feasible window lies: the segment holding its
+  /// start, the start itself, and the first segment at or after its end
+  /// (steps_.size() if none).
+  struct Slot {
+    std::size_t anchor;
+    Time start;
+    std::size_t end_segment;
+  };
+
+  /// The search shared by earliest_start() and reserve_earliest().
+  Slot find_slot(Time from, int nodes, Time duration) const;
+
   /// Ensures a breakpoint exists exactly at `t`; returns its index.
   std::size_t split_at(Time t);
-
-  /// Adds `delta` to every segment level in [start, end), after checking
-  /// the result stays within [0, total]. Shared by reserve() and
-  /// release()/release_until().
-  void apply(Time start, Time end, int delta);
 
   /// Restores canonicality around the just-modified index range
   /// [first, last]: removes any breakpoint whose level equals its

@@ -5,6 +5,25 @@
 
 namespace rrsim::sched {
 
+namespace {
+
+/// release_all()'s working storage: the sorted interval edges
+/// (time, +/-nodes) and the merged breakpoints, whose buffer is swapped
+/// into the profile. One set per thread, shared by every profile on it:
+/// nothing in it survives a call, and per-profile buffers would make each
+/// CBF scheduler hold O(queue) scratch for its whole life.
+struct MergeScratch {
+  std::vector<std::pair<Time, int>> edges;
+  std::vector<std::pair<Time, int>> merged;
+};
+
+MergeScratch& merge_scratch() {
+  thread_local MergeScratch scratch;
+  return scratch;
+}
+
+}  // namespace
+
 Profile::Profile(int total_nodes) : total_(total_nodes) {
   if (total_ < 1) throw std::invalid_argument("profile needs >= 1 node");
   steps_.emplace_back(0.0, total_);
@@ -17,7 +36,7 @@ std::size_t Profile::segment_index(Time t) const {
     if (hint_ + 1 == steps_.size() || t < steps_[hint_ + 1].first) {
       return hint_;
     }
-    // One step forward covers the sequential scans of reserve/release.
+    // One step forward covers the sequential scans of reserve().
     if (hint_ + 2 == steps_.size() || t < steps_[hint_ + 2].first) {
       return ++hint_;
     }
@@ -51,7 +70,7 @@ int Profile::min_free(Time start, Time duration) const {
   return min_free_count;
 }
 
-Time Profile::earliest_start(Time from, int nodes, Time duration) const {
+Profile::Slot Profile::find_slot(Time from, int nodes, Time duration) const {
   if (nodes < 1 || nodes > total_) {
     throw std::invalid_argument("earliest_start: nodes out of range");
   }
@@ -63,22 +82,62 @@ Time Profile::earliest_start(Time from, int nodes, Time duration) const {
   // anchor whose whole window [t, t + duration) has capacity wins. The
   // final segment always has full capacity (reserve() restores the level
   // at each reservation's end), so the scan terminates.
-  const std::size_t start_seg = segment_index(from);
-  for (std::size_t a = start_seg; a < steps_.size(); ++a) {
-    const Time candidate = std::max(from, steps_[a].first);
-    if (steps_[a].second < nodes) continue;
-    const Time end = candidate + duration;
-    bool feasible = true;
-    for (std::size_t j = a + 1; j < steps_.size() && steps_[j].first < end;
-         ++j) {
-      if (steps_[j].second < nodes) {
-        feasible = false;
-        break;
-      }
+  //
+  // When the window anchored at `a` is blocked by segment j, no anchor in
+  // (a, j] can win either: each starts at or after the failed candidate,
+  // so (FP addition being monotone) its window end is >= the failed one,
+  // which lies beyond steps_[j].first — every such window still contains
+  // j. The scan therefore resumes at j + 1, so each segment is visited
+  // O(1) times.
+  const std::size_t n = steps_.size();
+  std::size_t a = segment_index(from);
+  while (a < n) {
+    if (steps_[a].second < nodes) {
+      ++a;
+      continue;
     }
-    if (feasible) return candidate;
+    const Time candidate = std::max(from, steps_[a].first);
+    const Time end = candidate + duration;
+    std::size_t j = a + 1;
+    while (j < n && steps_[j].first < end && steps_[j].second >= nodes) ++j;
+    if (j == n || steps_[j].first >= end) return Slot{a, candidate, j};
+    a = j + 1;
   }
   throw std::logic_error("profile never regains requested capacity");
+}
+
+Time Profile::earliest_start(Time from, int nodes, Time duration) const {
+  return find_slot(from, nodes, duration).start;
+}
+
+Time Profile::reserve_earliest(Time from, int nodes, Time duration) {
+  const Slot slot = find_slot(from, nodes, duration);
+  // The same end expression reserve() computes, so the end breakpoint is
+  // bit-identical to the earliest_start() + reserve() pair's.
+  const Time end = slot.start + duration;
+  if (end == slot.start) return slot.start;  // duration absorbed: no-op
+  // Split at the end first, so the anchor index stays valid. Segment
+  // end_segment - 1 holds `end` (steps_[anchor].first <= start < end).
+  std::size_t last = slot.end_segment;
+  if (last == steps_.size() || steps_[last].first != end) {
+    steps_.insert(steps_.begin() + static_cast<std::ptrdiff_t>(last),
+                  {end, steps_[last - 1].second});
+  }
+  std::size_t first = slot.anchor;
+  if (steps_[first].first != slot.start) {
+    steps_.insert(steps_.begin() + static_cast<std::ptrdiff_t>(first) + 1,
+                  {slot.start, steps_[first].second});
+    ++first;
+    ++last;
+  }
+  // Every level in the window is >= nodes (find_slot checked), so no
+  // segment can go negative.
+  for (std::size_t i = first; i < last; ++i) steps_[i].second -= nodes;
+  coalesce_around(first, last);
+#if RRSIM_VALIDATE_ENABLED
+  debug_validate();
+#endif
+  return slot.start;
 }
 
 std::size_t Profile::split_at(Time t) {
@@ -87,27 +146,6 @@ std::size_t Profile::split_at(Time t) {
   steps_.insert(steps_.begin() + static_cast<std::ptrdiff_t>(i) + 1,
                 {t, steps_[i].second});
   return i + 1;
-}
-
-void Profile::apply(Time start, Time end, int delta) {
-  const std::size_t first = split_at(start);
-  const std::size_t last = split_at(end);  // breakpoint at interval end
-  for (std::size_t i = first; i < last; ++i) {
-    const int level = steps_[i].second + delta;
-    if (level < 0 || level > total_) {
-      // Undo the splits so a throwing call leaves the profile untouched
-      // (the splits are level-neutral; coalescing removes them).
-      coalesce_around(first, last);
-      throw std::logic_error(delta < 0
-                                 ? "reserve: capacity would go negative"
-                                 : "release: no matching reservation");
-    }
-  }
-  for (std::size_t i = first; i < last; ++i) steps_[i].second += delta;
-  coalesce_around(first, last);
-#if RRSIM_VALIDATE_ENABLED
-  debug_validate();
-#endif
 }
 
 void Profile::coalesce_around(std::size_t first, std::size_t last) {
@@ -135,7 +173,7 @@ void Profile::debug_validate() const {
   RRSIM_CHECK(!steps_.empty(), "profile has no segments");
   RRSIM_CHECK(steps_.back().second == total_,
               "profile tail is not back at full capacity (a reservation "
-              "never ends, or release() missed the tail)");
+              "never ends, or release_all() missed the tail)");
   for (std::size_t i = 0; i < steps_.size(); ++i) {
     RRSIM_CHECK(steps_[i].second >= 0 && steps_[i].second <= total_,
                 "profile level outside [0, total_nodes]");
@@ -156,21 +194,70 @@ void Profile::reserve(Time start, Time duration, int nodes) {
   if (start < 0.0 || duration <= 0.0 || nodes < 1) {
     throw std::invalid_argument("reserve: bad arguments");
   }
-  apply(start, start + duration, -nodes);
+  const std::size_t first = split_at(start);
+  const std::size_t last = split_at(start + duration);
+  for (std::size_t i = first; i < last; ++i) {
+    if (steps_[i].second < nodes) {
+      // Undo the splits so a throwing call leaves the profile untouched
+      // (the splits are level-neutral; coalescing removes them).
+      coalesce_around(first, last);
+      throw std::logic_error("reserve: capacity would go negative");
+    }
+  }
+  for (std::size_t i = first; i < last; ++i) steps_[i].second -= nodes;
+  coalesce_around(first, last);
+#if RRSIM_VALIDATE_ENABLED
+  debug_validate();
+#endif
 }
 
-void Profile::release(Time start, Time duration, int nodes) {
-  if (start < 0.0 || duration <= 0.0 || nodes < 1) {
-    throw std::invalid_argument("release: bad arguments");
+void Profile::release_all(const std::vector<Interval>& intervals) {
+  if (intervals.empty()) return;
+  // Each interval becomes two edges, +nodes at its start and -nodes at its
+  // end; sorted by time they give the running delta to add to the levels.
+  MergeScratch& scratch = merge_scratch();
+  std::vector<std::pair<Time, int>>& edges = scratch.edges;
+  std::vector<std::pair<Time, int>>& merged = scratch.merged;
+  edges.clear();
+  for (const Interval& iv : intervals) {
+    if (iv.start < steps_.front().first || iv.end <= iv.start ||
+        iv.nodes < 1) {
+      throw std::invalid_argument("release_all: bad interval");
+    }
+    edges.emplace_back(iv.start, iv.nodes);
+    edges.emplace_back(iv.end, -iv.nodes);
   }
-  apply(start, start + duration, nodes);
-}
-
-void Profile::release_until(Time start, Time end, int nodes) {
-  if (start < 0.0 || end <= start || nodes < 1) {
-    throw std::invalid_argument("release_until: bad arguments");
+  std::sort(edges.begin(), edges.end());
+  // Merge the edges into the breakpoints in time order, keeping only the
+  // points where the level changes. The first breakpoint always stays
+  // (every edge is at or after it), as releasing one interval at a time
+  // would keep it. steps_ is untouched until the swap, so a throw leaves
+  // it as it was.
+  merged.clear();
+  const std::size_t n = steps_.size();
+  const std::size_t m = edges.size();
+  std::size_t i = 0;
+  std::size_t e = 0;
+  int base = 0;
+  int delta = 0;
+  while (i < n || e < m) {
+    const Time t = e == m || (i < n && steps_[i].first <= edges[e].first)
+                       ? steps_[i].first
+                       : edges[e].first;
+    if (i < n && steps_[i].first == t) base = steps_[i++].second;
+    while (e < m && edges[e].first == t) delta += edges[e++].second;
+    const int level = base + delta;
+    if (level > total_) {
+      throw std::logic_error("release: no matching reservation");
+    }
+    if (merged.empty() || merged.back().second != level) {
+      merged.emplace_back(t, level);
+    }
   }
-  apply(start, end, nodes);
+  steps_.swap(merged);
+#if RRSIM_VALIDATE_ENABLED
+  debug_validate();
+#endif
 }
 
 void Profile::reset() {

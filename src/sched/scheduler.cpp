@@ -264,8 +264,7 @@ Time ClusterScheduler::predict_hypothetical_start(int nodes,
   }
   // Queued jobs claim slots in FCFS order.
   for (const Job* j : pending_in_order()) {
-    const Time s = profile.earliest_start(now, j->nodes, j->requested_time);
-    profile.reserve(s, j->requested_time, j->nodes);
+    profile.reserve_earliest(now, j->nodes, j->requested_time);
   }
   return profile.earliest_start(now, nodes, requested_time);
 }

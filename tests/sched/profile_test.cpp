@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "rrsim/util/rng.h"
@@ -165,14 +167,14 @@ TEST(Profile, ReleaseIsExactInverseOfReserve) {
   p.reserve(5.0, 10.0, 4);
   const auto before = p.steps();
   p.reserve(7.5, 4.0, 2);
-  p.release(7.5, 4.0, 2);
+  p.release_all({{7.5, 7.5 + 4.0, 2}});
   EXPECT_EQ(p.steps(), before);  // breakpoints restored bit-exactly
 }
 
 TEST(Profile, ReleaseCoalescesAdjacentEqualLevels) {
   Profile p(10);
   p.reserve(5.0, 10.0, 4);
-  p.release(5.0, 10.0, 4);
+  p.release_all({{5.0, 15.0, 4}});
   // Back to a single fully-free segment: no leftover breakpoints.
   ASSERT_EQ(p.steps().size(), 1u);
   EXPECT_EQ(p.steps().front(), (std::pair<Time, int>{0.0, 10}));
@@ -184,11 +186,11 @@ TEST(Profile, ReleaseRejectsUnmatchedAndLeavesProfileUntouched) {
   const auto before = p.steps();
   // [5, 15) is only covered by a reservation on [5, 10): releasing 3
   // nodes over the whole window would push [10, 15) above capacity.
-  EXPECT_THROW(p.release(5.0, 10.0, 3), std::logic_error);
+  EXPECT_THROW(p.release_all({{5.0, 15.0, 3}}), std::logic_error);
   EXPECT_EQ(p.steps(), before);
-  EXPECT_THROW(p.release(-1.0, 1.0, 1), std::invalid_argument);
-  EXPECT_THROW(p.release(0.0, 0.0, 1), std::invalid_argument);
-  EXPECT_THROW(p.release(0.0, 1.0, 0), std::invalid_argument);
+  EXPECT_THROW(p.release_all({{-1.0, 0.0, 1}}), std::invalid_argument);
+  EXPECT_THROW(p.release_all({{0.0, 0.0, 1}}), std::invalid_argument);
+  EXPECT_THROW(p.release_all({{0.0, 1.0, 0}}), std::invalid_argument);
 }
 
 TEST(Profile, ReserveRejectsOverCapacityAndLeavesProfileUntouched) {
@@ -207,8 +209,8 @@ TEST(Profile, ReleaseUntilHitsExactEndBreakpoint) {
   // 0.1 + 0.2 is not representable; the breakpoint sits at the rounded
   // sum. Releasing the tail from mid-interval must erase it exactly.
   const Time end = start + duration;
-  p.release_until(0.15, end, 5);
-  p.release_until(start, 0.15, 5);
+  p.release_all({{0.15, end, 5}});
+  p.release_all({{start, 0.15, 5}});
   ASSERT_EQ(p.steps().size(), 1u);
   EXPECT_EQ(p.free_at(0.2), 8);
 }
@@ -273,7 +275,8 @@ TEST(Profile, CanonicalAfterRandomReserveRelease_Property) {
         const std::size_t k = rng.below(active.size());
         const Res r = active[k];
         active.erase(active.begin() + static_cast<std::ptrdiff_t>(k));
-        ASSERT_NO_THROW(p.release(r.start, r.duration, r.nodes));
+        ASSERT_NO_THROW(
+            p.release_all({{r.start, r.start + r.duration, r.nodes}}));
         for (int t = static_cast<int>(r.start);
              t < static_cast<int>(r.start + r.duration); ++t) {
           oracle[static_cast<std::size_t>(t)] += r.nodes;
@@ -309,7 +312,9 @@ TEST(Profile, CanonicalAfterRandomReserveRelease_Property) {
       }
     }
     // Releasing everything returns the profile to a single free segment.
-    for (const Res& r : active) p.release(r.start, r.duration, r.nodes);
+    for (const Res& r : active) {
+      p.release_all({{r.start, r.start + r.duration, r.nodes}});
+    }
     ASSERT_EQ(p.steps().size(), 1u);
     ASSERT_EQ(p.steps().front().second, kTotal);
   }
@@ -342,6 +347,312 @@ TEST(Profile, HintedLookupsMatchBruteForce_Property) {
                                 : static_cast<Time>(q) * 0.2;
     ASSERT_EQ(p.free_at(t), brute(t)) << "t=" << t;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Differential oracle. NaiveProfile is a verbatim copy of Profile as it was
+// before the one-scan search and the batched release: earliest_start()
+// retries every anchor, and every reserve/release splits both ends and
+// coalesces on its own. Profile must return the same starts and hold the
+// same breakpoints after every operation.
+class NaiveProfile {
+ public:
+  explicit NaiveProfile(int total_nodes) : total_(total_nodes) {
+    steps_.emplace_back(0.0, total_);
+  }
+
+  const std::vector<std::pair<Time, int>>& steps() const { return steps_; }
+
+  Time earliest_start(Time from, int nodes, Time duration) const {
+    if (nodes < 1 || nodes > total_) {
+      throw std::invalid_argument("earliest_start: nodes out of range");
+    }
+    if (duration <= 0.0) {
+      throw std::invalid_argument("earliest_start: non-positive duration");
+    }
+    if (from < 0.0) from = 0.0;
+    const std::size_t start_seg = segment_index(from);
+    for (std::size_t a = start_seg; a < steps_.size(); ++a) {
+      const Time candidate = std::max(from, steps_[a].first);
+      if (steps_[a].second < nodes) continue;
+      const Time end = candidate + duration;
+      bool feasible = true;
+      for (std::size_t j = a + 1; j < steps_.size() && steps_[j].first < end;
+           ++j) {
+        if (steps_[j].second < nodes) {
+          feasible = false;
+          break;
+        }
+      }
+      if (feasible) return candidate;
+    }
+    throw std::logic_error("profile never regains requested capacity");
+  }
+
+  void reserve(Time start, Time duration, int nodes) {
+    apply(start, start + duration, -nodes);
+  }
+  void release_until(Time start, Time end, int nodes) {
+    apply(start, end, nodes);
+  }
+
+  void prune_before(Time t) {
+    const std::size_t i = segment_index(t);
+    if (i == 0) return;
+    steps_.erase(steps_.begin(),
+                 steps_.begin() + static_cast<std::ptrdiff_t>(i));
+  }
+
+ private:
+  std::size_t segment_index(Time t) const {
+    auto it = std::upper_bound(steps_.begin(), steps_.end(), t,
+                               [](Time value, const std::pair<Time, int>& s) {
+                                 return value < s.first;
+                               });
+    return it == steps_.begin()
+               ? 0
+               : static_cast<std::size_t>(it - steps_.begin()) - 1;
+  }
+
+  std::size_t split_at(Time t) {
+    const std::size_t i = segment_index(t);
+    if (steps_[i].first == t) return i;
+    steps_.insert(steps_.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+                  {t, steps_[i].second});
+    return i + 1;
+  }
+
+  void apply(Time start, Time end, int delta) {
+    const std::size_t first = split_at(start);
+    const std::size_t last = split_at(end);
+    for (std::size_t i = first; i < last; ++i) {
+      const int level = steps_[i].second + delta;
+      if (level < 0 || level > total_) {
+        coalesce_around(first, last);
+        throw std::logic_error("capacity out of range");
+      }
+    }
+    for (std::size_t i = first; i < last; ++i) steps_[i].second += delta;
+    coalesce_around(first, last);
+  }
+
+  void coalesce_around(std::size_t first, std::size_t last) {
+    std::size_t lo = first > 0 ? first - 1 : 0;
+    std::size_t hi = std::min(last + 1, steps_.size());
+    std::size_t write = lo;
+    for (std::size_t read = lo; read < hi; ++read) {
+      if (write > 0 && steps_[read].second == steps_[write - 1].second) {
+        continue;
+      }
+      if (write != read) steps_[write] = steps_[read];
+      ++write;
+    }
+    if (write != hi) {
+      steps_.erase(steps_.begin() + static_cast<std::ptrdiff_t>(write),
+                   steps_.begin() + static_cast<std::ptrdiff_t>(hi));
+    }
+  }
+
+  int total_;
+  std::vector<std::pair<Time, int>> steps_;
+};
+
+/// A reservation held by the churn driver: [start, end) as reserved.
+struct Held {
+  Time start;
+  Time end;
+  int nodes;
+};
+
+/// The part of `h` a release at `now` returns, as CBF clips it: all of it
+/// if it starts at or after `now`, else its future tail; false if nothing
+/// of it lies ahead.
+bool clip_to_future(const Held& h, Time now, Profile::Interval& out) {
+  out = Profile::Interval{std::max(h.start, now), h.end, h.nodes};
+  return out.end > out.start;
+}
+
+/// Randomized churn over both profiles: reserve-at-earliest (from `now`
+/// or from inside a segment), single releases, batched releases of a
+/// random subset, tail releases, prunes, and a clock that advances in
+/// integer steps so breakpoints tie. Asserts identical starts and
+/// breakpoints after every operation.
+void run_differential_churn(int total, std::uint64_t seed, int ops,
+                            bool integer_durations) {
+  util::Rng rng(seed);
+  Profile p(total);
+  NaiveProfile naive(total);
+  std::vector<Held> held;
+  std::vector<Profile::Interval> batch;
+  Time now = 0.0;
+  for (int op = 0; op < ops; ++op) {
+    SCOPED_TRACE(::testing::Message()
+                 << "seed=" << seed << " total=" << total << " op=" << op);
+    const double dice = rng.uniform01();
+    if (dice < 0.45 || held.empty()) {
+      const int nodes = static_cast<int>(rng.between(1, total));
+      const Time duration =
+          integer_durations || rng.chance(0.7)
+              ? static_cast<Time>(rng.between(1, 40))
+              : rng.uniform(0.25, 40.0);
+      // Half the searches start inside a segment rather than at `now`.
+      const Time from =
+          rng.chance(0.5) ? now : now + static_cast<Time>(rng.between(0, 30)) + 0.5;
+      const Time query = p.earliest_start(from, nodes, duration);
+      const Time expect = naive.earliest_start(from, nodes, duration);
+      ASSERT_EQ(query, expect);
+      const Time s = p.reserve_earliest(from, nodes, duration);
+      ASSERT_EQ(s, expect);
+      naive.reserve(expect, duration, nodes);
+      held.push_back(Held{s, s + duration, nodes});
+    } else if (dice < 0.60) {
+      // One reservation back, whole, when it is still wholly ahead.
+      const std::size_t k = rng.below(held.size());
+      if (held[k].start < now) continue;
+      const Held h = held[k];
+      held.erase(held.begin() + static_cast<std::ptrdiff_t>(k));
+      p.release_all({{h.start, h.end, h.nodes}});
+      naive.release_until(h.start, h.end, h.nodes);
+    } else if (dice < 0.80) {
+      // A batch: a random subset, released together vs one by one.
+      batch.clear();
+      std::vector<Held> keep;
+      for (const Held& h : held) {
+        Profile::Interval iv{};
+        if (rng.chance(0.5)) {
+          if (clip_to_future(h, now, iv)) batch.push_back(iv);
+        } else {
+          keep.push_back(h);
+        }
+      }
+      held.swap(keep);
+      p.release_all(batch);
+      for (const Profile::Interval& iv : batch) {
+        naive.release_until(iv.start, iv.end, iv.nodes);
+      }
+    } else if (dice < 0.90) {
+      // Release a tail [cut, end), as an early completion does; the head
+      // stays reserved.
+      const std::size_t k = rng.below(held.size());
+      Held& h = held[k];
+      const Time cut = std::max(now, h.start + 0.5 * (h.end - h.start));
+      if (!(cut > h.start && cut < h.end)) continue;
+      p.release_all({{cut, h.end, h.nodes}});
+      naive.release_until(cut, h.end, h.nodes);
+      h.end = cut;
+    } else {
+      now += static_cast<Time>(rng.between(0, 6));
+      p.prune_before(now);
+      naive.prune_before(now);
+    }
+    ASSERT_EQ(p.steps(), naive.steps());
+  }
+}
+
+TEST(ProfileDifferential, MatchesNaiveUnderIntegerChurn) {
+  for (const int total : {1, 4, 16}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      run_differential_churn(total, seed, 600, /*integer_durations=*/true);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(ProfileDifferential, MatchesNaiveWithFractionalDurations) {
+  for (const int total : {3, 32}) {
+    for (std::uint64_t seed = 11; seed <= 14; ++seed) {
+      run_differential_churn(total, seed, 600, /*integer_durations=*/false);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(ProfileDifferential, SkipAheadPastBlockingSegments) {
+  // Several blocking dips closer together than the window: the search
+  // must resume after each blocker and land where the naive scan does.
+  Profile p(8);
+  NaiveProfile naive(8);
+  for (const Time t : {2.0, 5.0, 9.0, 14.0}) {
+    p.reserve(t, 1.0, 6);
+    naive.reserve(t, 1.0, 6);
+  }
+  for (const Time d : {1.0, 2.0, 3.0, 4.0, 5.0, 6.0}) {
+    for (const Time from : {0.0, 0.5, 2.5, 3.0, 10.0}) {
+      EXPECT_EQ(p.earliest_start(from, 4, d), naive.earliest_start(from, 4, d))
+          << "from=" << from << " d=" << d;
+    }
+  }
+  // The widest gap, [10, 14), is 4 long; a 4.5 window fits only after 15.
+  EXPECT_EQ(p.reserve_earliest(0.0, 4, 4.5), 15.0);
+  naive.reserve(15.0, 4.5, 4);
+  EXPECT_EQ(p.steps(), naive.steps());
+}
+
+TEST(ProfileDifferential, ReleaseAllMatchesSequentialAtTiedEdges) {
+  // Edges that coincide with each other and with existing breakpoints,
+  // including an interval that starts where another ends.
+  Profile p(10);
+  NaiveProfile naive(10);
+  const std::vector<Held> res = {
+      {0.0, 5.0, 3}, {5.0, 10.0, 3}, {5.0, 10.0, 2}, {2.0, 5.0, 4}};
+  for (const Held& h : res) {
+    p.reserve(h.start, h.end - h.start, h.nodes);
+    naive.reserve(h.start, h.end - h.start, h.nodes);
+  }
+  ASSERT_EQ(p.steps(), naive.steps());
+  std::vector<Profile::Interval> batch;
+  batch.reserve(res.size());
+  for (const Held& h : res) batch.push_back({h.start, h.end, h.nodes});
+  batch.pop_back();
+  p.release_all(batch);
+  for (const Profile::Interval& iv : batch) {
+    naive.release_until(iv.start, iv.end, iv.nodes);
+  }
+  EXPECT_EQ(p.steps(), naive.steps());
+  p.release_all({{2.0, 5.0, 4}});
+  ASSERT_EQ(p.steps().size(), 1u);
+  EXPECT_EQ(p.steps().front(), (std::pair<Time, int>{0.0, 10}));
+  p.release_all({});  // an empty batch is a no-op
+  EXPECT_EQ(p.steps().size(), 1u);
+}
+
+TEST(ProfileDifferential, ReleaseAllThrowsAndLeavesProfileUntouched) {
+  Profile p(10);
+  p.reserve(0.0, 10.0, 3);
+  p.reserve(4.0, 4.0, 5);
+  p.prune_before(2.0);  // first breakpoint stays at 0
+  const auto before = p.steps();
+  // The same reservation twice in one batch: the second copy has nothing
+  // to give back, and it is caught only once the merge reaches [4, 8).
+  EXPECT_THROW(p.release_all({{0.0, 10.0, 3}, {4.0, 8.0, 5}, {4.0, 8.0, 5}}),
+               std::logic_error);
+  EXPECT_EQ(p.steps(), before);
+  // An over-release that only exceeds capacity past the last reservation.
+  EXPECT_THROW(p.release_all({{0.0, 10.0, 3}, {9.0, 12.0, 1}}),
+               std::logic_error);
+  EXPECT_EQ(p.steps(), before);
+  // Malformed intervals are rejected before anything is merged.
+  EXPECT_THROW(p.release_all({{0.0, 10.0, 3}, {5.0, 5.0, 1}}),
+               std::invalid_argument);
+  EXPECT_THROW(p.release_all({{0.0, 10.0, 3}, {6.0, 5.0, 1}}),
+               std::invalid_argument);
+  EXPECT_THROW(p.release_all({{4.0, 8.0, 0}}), std::invalid_argument);
+  EXPECT_THROW(p.release_all({{-1.0, 8.0, 1}}), std::invalid_argument);
+  EXPECT_EQ(p.steps(), before);
+  // The profile still works after the failed calls.
+  p.release_all({{0.0, 10.0, 3}, {4.0, 8.0, 5}});
+  ASSERT_EQ(p.steps().size(), 1u);
+}
+
+TEST(ProfileDifferential, ReleaseAllRejectsIntervalBeforeFirstBreakpoint) {
+  Profile p(4);
+  p.reserve(5.0, 5.0, 2);
+  p.reserve(12.0, 3.0, 1);
+  p.prune_before(11.0);  // first breakpoint is now 10
+  const auto before = p.steps();
+  ASSERT_EQ(before.front().first, 10.0);
+  EXPECT_THROW(p.release_all({{9.0, 15.0, 1}}), std::invalid_argument);
+  EXPECT_EQ(p.steps(), before);
 }
 
 }  // namespace

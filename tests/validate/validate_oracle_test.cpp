@@ -68,10 +68,10 @@ TEST(ValidateClean, ProfileSurvivesReserveReleaseChurn) {
   sched::Profile p(16);
   p.reserve(0.0, 10.0, 4);
   p.reserve(5.0, 10.0, 8);
-  p.release(0.0, 10.0, 4);
+  p.release_all({{0.0, 10.0, 4}});
   p.reserve(2.0, 6.0, 16 - 8);
-  p.release_until(2.0, 8.0, 8);
-  p.release(5.0, 10.0, 8);
+  p.release_all({{2.0, 8.0, 8}});
+  p.release_all({{5.0, 15.0, 8}});
   p.prune_before(1.0);
   p.debug_validate();
   EXPECT_EQ(p.free_at(100.0), 16);
