@@ -176,13 +176,16 @@ inline void write_json_env_fields(std::FILE* f, int jobs_used,
                  "    \"draw_misses\": %" PRIu64 ",\n"
                  "    \"spool_hits\": %" PRIu64 ",\n"
                  "    \"spool_misses\": %" PRIu64 ",\n"
+                 "    \"calibration_hits\": %" PRIu64 ",\n"
+                 "    \"calibration_misses\": %" PRIu64 ",\n"
                  "    \"entries\": %zu,\n"
                  "    \"resident_bytes\": %zu\n"
                  "  },\n",
                  cache.hits(), cache.misses(), cache.checkpoint_hits(),
                  cache.checkpoint_misses(), cache.draw_hits(),
                  cache.draw_misses(), cache.spool_hits(),
-                 cache.spool_misses(), cache.entries(),
+                 cache.spool_misses(), cache.calibration_hits(),
+                 cache.calibration_misses(), cache.entries(),
                  cache.resident_bytes());
   } else {
     std::fprintf(f,

@@ -89,6 +89,8 @@ struct ChildResult {
   std::uint64_t ck_misses = 0;
   std::uint64_t dr_hits = 0;
   std::uint64_t dr_misses = 0;
+  std::uint64_t cl_hits = 0;
+  std::uint64_t cl_misses = 0;
 };
 
 /// Child mode: run one experiment, print one machine-readable line.
@@ -131,13 +133,15 @@ int run_child(const util::Cli& cli) {
   std::printf("SCALE jobs=%zu elapsed=%.6f stretch=%.17g live=%zu "
               "trace=%zu rss=%zu ops=%" PRIu64 " sthits=%" PRIu64
               " stmisses=%" PRIu64 " ckhits=%" PRIu64 " ckmisses=%" PRIu64
-              " drhits=%" PRIu64 " drmisses=%" PRIu64 "\n",
+              " drhits=%" PRIu64 " drmisses=%" PRIu64 " clhits=%" PRIu64
+              " clmisses=%" PRIu64 "\n",
               static_cast<std::size_t>(result.jobs_generated), elapsed,
               m.avg_stretch, result.live_state_bytes,
               result.resident_trace_bytes, rss, ops, cache.hits(),
               cache.misses(), cache.checkpoint_hits(),
               cache.checkpoint_misses(), cache.draw_hits(),
-              cache.draw_misses());
+              cache.draw_misses(), cache.calibration_hits(),
+              cache.calibration_misses());
   // Hard resident-set budget (the CI smoke): a regression that re-grows
   // the resident set past the budget fails the run, not just a number in
   // a JSON nobody reads.
@@ -184,11 +188,13 @@ ChildResult run_point(std::size_t clusters, double hours,
                     "trace=%zu rss=%zu ops=%" SCNu64 " sthits=%" SCNu64
                     " stmisses=%" SCNu64 " ckhits=%" SCNu64
                     " ckmisses=%" SCNu64 " drhits=%" SCNu64
-                    " drmisses=%" SCNu64,
+                    " drmisses=%" SCNu64 " clhits=%" SCNu64
+                    " clmisses=%" SCNu64,
                     &r.jobs, &r.elapsed_s, &r.avg_stretch,
                     &r.live_state_bytes, &r.trace_bytes, &r.peak_rss, &r.ops,
                     &r.st_hits, &r.st_misses, &r.ck_hits, &r.ck_misses,
-                    &r.dr_hits, &r.dr_misses) == 13) {
+                    &r.dr_hits, &r.dr_misses, &r.cl_hits,
+                    &r.cl_misses) == 15) {
       parsed = true;
     }
   }
@@ -308,6 +314,11 @@ int main(int argc, char** argv) {
             static_cast<double>(win.peak_rss) / 1048576.0,
             static_cast<double>(win.trace_bytes) / 1048576.0, trace_ratio);
       }
+      std::printf("%9s windowed trace cache: ckpt %" PRIu64 "h/%" PRIu64
+                  "m draw %" PRIu64 "h/%" PRIu64 "m calib %" PRIu64
+                  "h/%" PRIu64 "m\n",
+                  "", win.ck_hits, win.ck_misses, win.dr_hits, win.dr_misses,
+                  win.cl_hits, win.cl_misses);
       rows.push_back(row);
     }
 
@@ -355,11 +366,12 @@ int main(int argc, char** argv) {
           "%" PRIu64 ", \"trace_cache\": {\"hits\": %" PRIu64
           ", \"misses\": %" PRIu64 ", \"checkpoint_hits\": %" PRIu64
           ", \"checkpoint_misses\": %" PRIu64 ", \"draw_hits\": %" PRIu64
-          ", \"draw_misses\": %" PRIu64 "}}",
+          ", \"draw_misses\": %" PRIu64 ", \"calibration_hits\": %" PRIu64
+          ", \"calibration_misses\": %" PRIu64 "}}",
           win.elapsed_s, win.live_state_bytes, win.trace_bytes, materialized,
           materialized / static_cast<double>(win.trace_bytes), win.peak_rss,
           win.ops, win.st_hits, win.st_misses, win.ck_hits, win.ck_misses,
-          win.dr_hits, win.dr_misses);
+          win.dr_hits, win.dr_misses, win.cl_hits, win.cl_misses);
       if (row.p.all_modes) {
         std::fprintf(
             f,

@@ -76,7 +76,10 @@ inline ResolvedClusters resolve_clusters(const ExperimentConfig& config) {
 
   // Calibration and stream generation use substreams that depend only on
   // the seed and the cluster index, never on the redundancy scheme, so
-  // paired runs (scheme vs. NONE) see identical job streams.
+  // paired runs (scheme vs. NONE) see identical job streams. Calibrations
+  // are memoized: every point of a calibrated sweep shares them, and a
+  // hit restores calib_rng to where the Monte-Carlo estimate would have
+  // left it, so cluster i + 1 calibrates from the same state either way.
   out.cluster_configs.resize(config.n_clusters);
   {
     util::Rng calib_rng = out.master.fork(kStreamCalibration);
@@ -92,8 +95,21 @@ inline ResolvedClusters resolve_clusters(const ExperimentConfig& config) {
             cc.workload.mean_interarrival() *
             static_cast<double>(config.n_clusters));
       } else if (config.load_mode == LoadMode::kCalibrated) {
-        cc.workload = workload::calibrate_params(
-            cc.workload, cc.nodes, config.target_utilization, calib_rng);
+        const workload::CalibrationKey key = workload::CalibrationKey::of(
+            cc.workload, cc.nodes, config.target_utilization, calib_rng,
+            workload::kCalibrationSamples);
+        const workload::Calibration cal =
+            workload::TraceCache::global().get_or_calibrate(key, [&]() {
+              const workload::LublinModel probe(key.params, key.max_nodes);
+              util::Rng rng = util::Rng::from_fingerprint(key.rng_start);
+              workload::Calibration c;
+              c.mean_interarrival = workload::interarrival_for_utilization(
+                  probe, key.target_util, rng, key.samples);
+              c.rng_end = rng.fingerprint();
+              return c;
+            });
+        calib_rng = util::Rng::from_fingerprint(cal.rng_end);
+        cc.workload = cc.workload.with_mean_interarrival(cal.mean_interarrival);
       }
       // kPerClusterPeak keeps the literal model rate.
     }

@@ -14,20 +14,20 @@ namespace rrsim::core {
 
 namespace {
 
-// FNV-1a, byte-at-a-time. Doubles are mixed on their exact bit patterns —
-// the same "identical bits" contract as workload::TraceKey.
+// FNV-1a over whole 64-bit words: one xor-multiply per word, so hashing
+// every LublinParams field stays cheap next to building the config. Each
+// step is a bijection of the running digest, so two configs that differ
+// in a single field never collide. Doubles are mixed on their exact bit
+// patterns — the same "identical bits" contract as workload::TraceKey.
 struct Fnv {
   std::uint64_t h = 1469598103934665603ull;
-  void byte(unsigned char b) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
   void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) byte((v >> (8 * i)) & 0xff);
+    h ^= v;
+    h *= 1099511628211ull;
   }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
   void str(const std::string& s) {
-    for (const char c : s) byte(static_cast<unsigned char>(c));
+    for (const char c : s) u64(static_cast<unsigned char>(c));
     u64(s.size());  // length-delimited: "ab","c" != "a","bc"
   }
 };
@@ -35,13 +35,15 @@ struct Fnv {
 }  // namespace
 
 std::uint64_t trace_affinity(const ExperimentConfig& config) {
-  // Exactly the fields that reach the memoized trace inputs — TraceKey
-  // (via resolve_clusters' calibration and the per-cluster workload
-  // parameters), DrawSegmentKey, and SpoolKey. Treatment knobs the cache
-  // deliberately ignores (scheme, fraction, placement, scheduler,
-  // protocol) are deliberately absent here too: points differing only in
-  // them share every cached entry, which is the sharing this affinity
-  // exists to exploit.
+  // Exactly the fields that reach the memoized trace inputs —
+  // CalibrationKey and TraceKey (via resolve_clusters and the per-cluster
+  // workload parameters), DrawSegmentKey, and SpoolKey. The base workload
+  // goes in through the same field walk those keys use, so configs that
+  // differ only in a Lublin shape parameter (and so share no cached entry)
+  // land in different groups. Treatment knobs the cache deliberately ignores
+  // (scheme, fraction, placement, scheduler, protocol) are deliberately
+  // absent here too: points differing only in them share every cached
+  // entry, which is the sharing this affinity exists to exploit.
   Fnv f;
   f.u64(config.seed);
   f.u64(config.n_clusters);
@@ -52,7 +54,8 @@ std::uint64_t trace_affinity(const ExperimentConfig& config) {
   f.u64(config.cluster_nodes.size());
   f.u64(static_cast<std::uint64_t>(config.load_mode));
   f.f64(config.target_utilization);
-  f.f64(config.base_workload.mean_interarrival());
+  workload::for_each_lublin_field(config.base_workload,
+                                  [&f](double v) { f.f64(v); });
   for (const double iat : config.cluster_mean_iat) f.f64(iat);
   f.u64(config.cluster_mean_iat.size());
   f.f64(config.submit_horizon);
@@ -97,6 +100,8 @@ void CampaignSweep::run() {
   const std::uint64_t dm = cache.draw_misses();
   const std::uint64_t ph = cache.spool_hits();
   const std::uint64_t pm = cache.spool_misses();
+  const std::uint64_t lh = cache.calibration_hits();
+  const std::uint64_t lm = cache.calibration_misses();
   runner_.run();
   last_cache_stats_.stream_hits = cache.hits() - sh;
   last_cache_stats_.stream_misses = cache.misses() - sm;
@@ -106,6 +111,8 @@ void CampaignSweep::run() {
   last_cache_stats_.draw_misses = cache.draw_misses() - dm;
   last_cache_stats_.spool_hits = cache.spool_hits() - ph;
   last_cache_stats_.spool_misses = cache.spool_misses() - pm;
+  last_cache_stats_.calibration_hits = cache.calibration_hits() - lh;
+  last_cache_stats_.calibration_misses = cache.calibration_misses() - lm;
 }
 
 // Replications run through the worker thread's persistent workspace: the

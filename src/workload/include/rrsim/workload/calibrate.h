@@ -14,6 +14,9 @@
 
 namespace rrsim::workload {
 
+/// Monte-Carlo draws per calibration unless the caller asks otherwise.
+inline constexpr int kCalibrationSamples = 20000;
+
 /// Mean inter-arrival time (seconds) that gives an offered load of
 /// `target_util` (node-seconds demanded / node-seconds available) on a
 /// cluster of `model.max_nodes()` nodes: E[nodes * runtime] /
@@ -21,13 +24,13 @@ namespace rrsim::workload {
 /// Throws std::invalid_argument unless 0 < target_util.
 double interarrival_for_utilization(const LublinModel& model,
                                     double target_util, util::Rng& rng,
-                                    int samples = 20000);
+                                    int samples = kCalibrationSamples);
 
 /// Returns `params` rescaled so that a LublinModel(max_nodes) built from
 /// them offers `target_util` load on a cluster of `max_nodes` nodes.
 LublinParams calibrate_params(const LublinParams& params, int max_nodes,
                               double target_util, util::Rng& rng,
-                              int samples = 20000);
+                              int samples = kCalibrationSamples);
 
 /// Empirical offered load of a concrete stream on `nodes` nodes over
 /// `horizon` seconds: sum(nodes_i * runtime_i) / (nodes * horizon).

@@ -65,6 +65,34 @@ struct LublinParams {
   LublinParams with_mean_interarrival(double mean_iat) const;
 };
 
+/// Calls `visit(double)` on every LublinParams field, in declaration
+/// order. The one walk over the model parameters that every cache key
+/// (workload::TraceKey, workload::CalibrationKey) and core::trace_affinity
+/// encode through, so a field cannot reach one key and be missed by
+/// another.
+template <typename Visit>
+void for_each_lublin_field(const LublinParams& p, Visit&& visit) {
+  visit(p.arrival_alpha);
+  visit(p.arrival_beta);
+  visit(p.serial_prob);
+  visit(p.pow2_prob);
+  visit(p.ulow);
+  visit(p.uprob);
+  visit(p.umed_offset);
+  visit(p.rt_a1);
+  visit(p.rt_b1);
+  visit(p.rt_a2);
+  visit(p.rt_b2);
+  visit(p.rt_pa);
+  visit(p.rt_pb);
+  visit(p.rt_log_base);
+  visit(p.min_runtime);
+  visit(p.max_runtime);
+}
+// A new LublinParams field must be added to for_each_lublin_field above.
+static_assert(sizeof(LublinParams) == 16 * sizeof(double),
+              "LublinParams changed: update for_each_lublin_field");
+
 /// Sampler for the Lublin model, bound to a cluster size. Each call uses
 /// the caller's Rng so multiple clusters can hold independent streams.
 class LublinModel {

@@ -12,13 +12,17 @@
 // snapshots, so each distinct trace is generated once per process no
 // matter how many sweep points or worker threads consume it.
 //
-// Four entry kinds share one LRU-evicted store:
+// Five entry kinds share one LRU-evicted store:
 //   - whole streams (retained-mode drivers; ~32 bytes/job),
 //   - generator checkpoint tables (windowed drivers; ~48 bytes/window —
 //     see stream_window.h), which let a sweep point seek to window k and
 //     re-materialize it in O(window) instead of holding 10^7 specs
 //     resident or regenerating from t = 0,
-//   - substream draw segments (~32 bytes), and
+//   - substream draw segments (~32 bytes),
+//   - load calibrations (~24 bytes: the calibrated mean inter-arrival and
+//     where the calibration generator ends — see calibrate.h), so a
+//     calibrated sweep runs each cluster's Monte-Carlo estimate once per
+//     seed instead of once per point, and
 //   - window spools (windowed SWF replay; resident cost is the spool's
 //     in-memory index only — the records live in an unlinked temp file,
 //     see window_spool.h), so a grid sweep replays each trace file once
@@ -111,6 +115,46 @@ struct DrawSegmentKey {
   std::string bytes() const;
 };
 
+/// What one cluster's load calibration (calibrate_params) leaves behind:
+/// the calibrated mean inter-arrival, which the caller applies with
+/// LublinParams::with_mean_interarrival, and the calibration generator's
+/// end fingerprint. Monte-Carlo work estimation samples runtimes by
+/// rejection, so the number of draws depends on the data; restoring the
+/// generator from `rng_end` is what puts the next cluster's calibration at
+/// exactly the state a fresh calibration would have left.
+struct Calibration {
+  double mean_interarrival = 0.0;
+  std::pair<std::uint64_t, std::uint64_t> rng_end{0, 0};
+};
+
+/// Everything that determines a Calibration bit-exactly: the model
+/// parameters and cluster size the probe model is built from, the target
+/// utilisation, the Monte-Carlo sample count, and the calibration
+/// generator's start state.
+struct CalibrationKey {
+  LublinParams params;
+  int max_nodes = 1;
+  double target_util = 0.0;
+  int samples = 0;
+  std::pair<std::uint64_t, std::uint64_t> rng_start{0, 0};
+
+  /// Convenience constructor from the live objects at the calibration site.
+  static CalibrationKey of(const LublinParams& params, int max_nodes,
+                           double target_util, const util::Rng& rng,
+                           int samples) {
+    CalibrationKey k;
+    k.params = params;
+    k.max_nodes = max_nodes;
+    k.target_util = target_util;
+    k.samples = samples;
+    k.rng_start = rng.fingerprint();
+    return k;
+  }
+
+  /// Flat byte encoding, same contract as TraceKey::bytes().
+  std::string bytes() const;
+};
+
 /// Everything that determines a spooled SWF window store bit-exactly: the
 /// file path, the filters applied while loading (cluster size and horizon
 /// — see core::detail::load_swf_stream), and the window the spool was
@@ -155,6 +199,9 @@ class TraceCache {
   // rrsim-lint-allow(std-function-member): once-per-miss again — a miss
   // replays one cluster's O(jobs) substream fast-forward.
   using DrawAdvancer = std::function<DrawSegment()>;
+  // rrsim-lint-allow(std-function-member): once-per-miss — a miss runs one
+  // cluster's Monte-Carlo work estimate (tens of thousands of job samples).
+  using Calibrator = std::function<Calibration()>;
   using SpoolPtr = std::shared_ptr<const WindowSpool>;
   // rrsim-lint-allow(std-function-member): once-per-miss — a miss reads
   // and spools one whole SWF file.
@@ -187,6 +234,15 @@ class TraceCache {
   /// is disabled, always calls `advance` and publishes nothing.
   DrawSegment get_or_advance_draws(const DrawSegmentKey& key,
                                    const DrawAdvancer& advance);
+
+  /// Returns the memoized calibration for `key`, running `calibrate` on a
+  /// miss. The caller restores its calibration generator from
+  /// `rng_end`, hit or miss, so every later calibration starts where it
+  /// would without the cache. Entries are ~24 bytes and share the
+  /// LRU-evicted store. When the cache is disabled, always calls
+  /// `calibrate` and publishes nothing.
+  Calibration get_or_calibrate(const CalibrationKey& key,
+                               const Calibrator& calibrate);
 
   /// Returns the cached window spool for `key`, building (and publishing)
   /// it via `build` on a miss. The entry's budget charge is the spool's
@@ -226,6 +282,8 @@ class TraceCache {
   std::uint64_t draw_misses() const;
   std::uint64_t spool_hits() const;
   std::uint64_t spool_misses() const;
+  std::uint64_t calibration_hits() const;
+  std::uint64_t calibration_misses() const;
   std::size_t entries() const;
   std::size_t resident_bytes() const;
 
@@ -234,14 +292,14 @@ class TraceCache {
 
  private:
   /// One cached payload: exactly one of `stream` / `checkpoints` / `draws`
-  /// / `spool` is meaningful, by entry kind (the key's leading tag byte).
-  /// `lru` is
-  /// this entry's node in the recency list, so a hit can splice it to the
-  /// back in O(1).
+  /// / `calibration` / `spool` is meaningful, by entry kind (the key's
+  /// leading tag byte). `lru` is this entry's node in the recency list, so
+  /// a hit can splice it to the back in O(1).
   struct Entry {
     StreamPtr stream;
     CheckpointPtr checkpoints;
     DrawSegment draws;
+    Calibration calibration;
     SpoolPtr spool;
     std::size_t bytes = 0;
     std::list<const std::string*>::iterator lru;
@@ -251,6 +309,15 @@ class TraceCache {
   // never iterated (eviction walks lru_), so the unspecified bucket order
   // cannot reach any output.
   using Map = std::unordered_map<std::string, Entry>;
+
+  /// The lookup every entry kind shares. A hit returns the entry's `slot`
+  /// and refreshes its recency; a miss (or any lookup while disabled)
+  /// runs `make` outside the lock, then publishes its value under `key`,
+  /// charged `bytes_of(value)`, unless the cache is disabled.
+  template <typename Value, typename Make, typename Bytes>
+  Value get_or_make(std::string key, Value Entry::*slot, std::uint64_t& hits,
+                    std::uint64_t& misses, const Make& make,
+                    const Bytes& bytes_of);
 
   /// Inserts (or adopts a racing thread's) entry, updates recency and the
   /// byte budget, and returns a copy of the published entry's payload
@@ -273,6 +340,8 @@ class TraceCache {
   std::uint64_t draw_misses_ = 0;
   std::uint64_t spool_hits_ = 0;
   std::uint64_t spool_misses_ = 0;
+  std::uint64_t calibration_hits_ = 0;
+  std::uint64_t calibration_misses_ = 0;
   Map map_;
   /// Recency order, least recently used first. Nodes point at the map's
   /// own key strings (stable under rehash — unordered_map never moves

@@ -8,11 +8,11 @@ namespace rrsim::workload {
 
 namespace {
 
-// Leading tag byte of the map key, so stream, checkpoint, and draw-segment
-// entries never collide across kinds.
+// Leading tag byte of the map key, so entries never collide across kinds.
 constexpr char kStreamTag = 'S';
 constexpr char kCheckpointTag = 'C';
 constexpr char kDrawTag = 'D';
+constexpr char kCalibrationTag = 'L';
 constexpr char kSpoolTag = 'P';
 
 void append_u64(std::string& out, std::uint64_t v) {
@@ -25,29 +25,26 @@ void append_double(std::string& out, double v) {
   append_u64(out, std::bit_cast<std::uint64_t>(v));
 }
 
+std::string tagged(char tag, const std::string& bytes) {
+  std::string k;
+  k.reserve(1 + bytes.size());
+  k.push_back(tag);
+  k += bytes;
+  return k;
+}
+
+// Field-by-field (never memcpy of the struct): padding bytes are
+// indeterminate and would make equal keys compare unequal.
+void append_params(std::string& out, const LublinParams& params) {
+  for_each_lublin_field(params, [&out](double v) { append_double(out, v); });
+}
+
 }  // namespace
 
 std::string TraceKey::bytes() const {
   std::string out;
   out.reserve(30 * sizeof(std::uint64_t) + estimator_name.size());
-  // Field-by-field (never memcpy of the struct): padding bytes are
-  // indeterminate and would make equal keys compare unequal.
-  append_double(out, params.arrival_alpha);
-  append_double(out, params.arrival_beta);
-  append_double(out, params.serial_prob);
-  append_double(out, params.pow2_prob);
-  append_double(out, params.ulow);
-  append_double(out, params.uprob);
-  append_double(out, params.umed_offset);
-  append_double(out, params.rt_a1);
-  append_double(out, params.rt_b1);
-  append_double(out, params.rt_a2);
-  append_double(out, params.rt_b2);
-  append_double(out, params.rt_pa);
-  append_double(out, params.rt_pb);
-  append_double(out, params.rt_log_base);
-  append_double(out, params.min_runtime);
-  append_double(out, params.max_runtime);
+  append_params(out, params);
   append_u64(out, static_cast<std::uint64_t>(max_nodes));
   append_double(out, horizon);
   append_u64(out, stream_rng.first);
@@ -72,6 +69,18 @@ std::string DrawSegmentKey::bytes() const {
   return out;
 }
 
+std::string CalibrationKey::bytes() const {
+  std::string out;
+  out.reserve(21 * sizeof(std::uint64_t));
+  append_params(out, params);
+  append_u64(out, static_cast<std::uint64_t>(max_nodes));
+  append_double(out, target_util);
+  append_u64(out, static_cast<std::uint64_t>(samples));
+  append_u64(out, rng_start.first);
+  append_u64(out, rng_start.second);
+  return out;
+}
+
 std::string SpoolKey::bytes() const {
   std::string out;
   out.reserve(3 * sizeof(std::uint64_t) + path.size());
@@ -82,122 +91,83 @@ std::string SpoolKey::bytes() const {
   return out;
 }
 
-TraceCache::StreamPtr TraceCache::get_or_generate(const TraceKey& key,
-                                                  const Generator& generate) {
-  std::string k;
-  k.push_back(kStreamTag);
-  k += key.bytes();
+template <typename Value, typename Make, typename Bytes>
+Value TraceCache::get_or_make(std::string key, Value Entry::*slot,
+                              std::uint64_t& hits, std::uint64_t& misses,
+                              const Make& make, const Bytes& bytes_of) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!enabled_) {
       // Count the lookup as a miss so disabled-mode stats still show how
       // much regeneration the cache would have absorbed.
-      ++misses_;
-    } else if (const auto it = map_.find(k); it != map_.end()) {
-      ++hits_;
+      ++misses;
+    } else if (const auto it = map_.find(key); it != map_.end()) {
+      ++hits;
       touch_locked(it);
-      return it->second.stream;
+      return it->second.*slot;
     } else {
-      ++misses_;
+      ++misses;
     }
   }
-  // Generate outside the lock: Lublin streams take milliseconds and other
-  // threads should neither wait on us nor serialize their own misses.
-  auto stream = std::make_shared<const JobStream>(generate());
+  // Make outside the lock: a miss costs milliseconds (a Lublin stream, a
+  // checkpoint scan, a Monte-Carlo calibration, a spooled file), and other
+  // threads should neither wait on us nor serialize their own misses. Two
+  // threads racing on one key may both make; making is deterministic, so
+  // the first to publish wins and the duplicate is bit-identical.
+  Value value = make();
   std::lock_guard<std::mutex> lock(mu_);
-  if (!enabled_) return stream;
+  if (!enabled_) return value;
   Entry entry;
-  entry.stream = stream;
-  entry.bytes = stream->size() * sizeof(JobSpec);
-  return publish_locked(std::move(k), std::move(entry)).stream;
+  entry.bytes = bytes_of(value);
+  entry.*slot = std::move(value);
+  return publish_locked(std::move(key), std::move(entry)).*slot;
+}
+
+TraceCache::StreamPtr TraceCache::get_or_generate(const TraceKey& key,
+                                                  const Generator& generate) {
+  return get_or_make(
+      tagged(kStreamTag, key.bytes()), &Entry::stream, hits_, misses_,
+      [&] { return std::make_shared<const JobStream>(generate()); },
+      [](const StreamPtr& s) { return s->size() * sizeof(JobSpec); });
 }
 
 TraceCache::CheckpointPtr TraceCache::get_or_build_checkpoints(
     const TraceKey& key, std::size_t window, const CheckpointBuilder& build) {
   if (window == 0) throw std::invalid_argument("window must be > 0");
-  std::string k;
-  k.push_back(kCheckpointTag);
-  k += key.bytes();
+  std::string k = tagged(kCheckpointTag, key.bytes());
   append_u64(k, window);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!enabled_) {
-      ++checkpoint_misses_;
-    } else if (const auto it = map_.find(k); it != map_.end()) {
-      ++checkpoint_hits_;
-      touch_locked(it);
-      return it->second.checkpoints;
-    } else {
-      ++checkpoint_misses_;
-    }
-  }
-  // Build outside the lock; deterministic builds make racing duplicates
-  // harmless, same as get_or_generate.
-  auto table = std::make_shared<const CheckpointedTrace>(build());
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!enabled_) return table;
-  Entry entry;
-  entry.checkpoints = table;
-  entry.bytes = table->payload_bytes();
-  return publish_locked(std::move(k), std::move(entry)).checkpoints;
+  return get_or_make(
+      std::move(k), &Entry::checkpoints, checkpoint_hits_,
+      checkpoint_misses_,
+      [&] { return std::make_shared<const CheckpointedTrace>(build()); },
+      [](const CheckpointPtr& t) { return t->payload_bytes(); });
 }
 
 DrawSegment TraceCache::get_or_advance_draws(const DrawSegmentKey& key,
                                              const DrawAdvancer& advance) {
-  std::string k;
-  k.push_back(kDrawTag);
-  k += key.bytes();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!enabled_) {
-      ++draw_misses_;
-    } else if (const auto it = map_.find(k); it != map_.end()) {
-      ++draw_hits_;
-      touch_locked(it);
-      return it->second.draws;
-    } else {
-      ++draw_misses_;
-    }
-  }
-  // Advance outside the lock, same once-per-miss economics as generation:
-  // the fast-forward is one draw per job, O(total jobs) per cluster.
-  const DrawSegment seg = advance();
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!enabled_) return seg;
-  Entry entry;
-  entry.draws = seg;
-  entry.bytes = sizeof(DrawSegment);
-  return publish_locked(std::move(k), std::move(entry)).draws;
+  return get_or_make(tagged(kDrawTag, key.bytes()), &Entry::draws,
+                     draw_hits_, draw_misses_, advance,
+                     [](const DrawSegment&) { return sizeof(DrawSegment); });
+}
+
+Calibration TraceCache::get_or_calibrate(const CalibrationKey& key,
+                                         const Calibrator& calibrate) {
+  return get_or_make(tagged(kCalibrationTag, key.bytes()),
+                     &Entry::calibration, calibration_hits_,
+                     calibration_misses_, calibrate,
+                     [](const Calibration&) { return sizeof(Calibration); });
 }
 
 TraceCache::SpoolPtr TraceCache::get_or_build_spool(const SpoolKey& key,
                                                     const SpoolBuilder& build) {
   if (key.window == 0) throw std::invalid_argument("window must be > 0");
-  std::string k;
-  k.push_back(kSpoolTag);
-  k += key.bytes();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!enabled_) {
-      ++spool_misses_;
-    } else if (const auto it = map_.find(k); it != map_.end()) {
-      ++spool_hits_;
-      touch_locked(it);
-      return it->second.spool;
-    } else {
-      ++spool_misses_;
-    }
-  }
-  // Build outside the lock: a miss reads and spools one whole trace file.
   // Racing duplicates each spool into their own unlinked temp file; the
   // loser's storage is reclaimed when its shared_ptr dies.
-  auto spool = std::make_shared<const WindowSpool>(build());
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!enabled_) return spool;
-  Entry entry;
-  entry.spool = spool;
-  entry.bytes = spool->payload_bytes();
-  return publish_locked(std::move(k), std::move(entry)).spool;
+  return get_or_make(
+      tagged(kSpoolTag, key.bytes()), &Entry::spool, spool_hits_,
+      spool_misses_,
+      [&] { return std::make_shared<const WindowSpool>(build()); },
+      [](const SpoolPtr& s) { return s->payload_bytes(); });
 }
 
 TraceCache::Entry TraceCache::publish_locked(std::string key, Entry entry) {
@@ -273,6 +243,8 @@ void TraceCache::clear() {
   draw_misses_ = 0;
   spool_hits_ = 0;
   spool_misses_ = 0;
+  calibration_hits_ = 0;
+  calibration_misses_ = 0;
 }
 
 std::uint64_t TraceCache::hits() const {
@@ -313,6 +285,16 @@ std::uint64_t TraceCache::spool_hits() const {
 std::uint64_t TraceCache::spool_misses() const {
   std::lock_guard<std::mutex> lock(mu_);
   return spool_misses_;
+}
+
+std::uint64_t TraceCache::calibration_hits() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return calibration_hits_;
+}
+
+std::uint64_t TraceCache::calibration_misses() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return calibration_misses_;
 }
 
 std::size_t TraceCache::entries() const {

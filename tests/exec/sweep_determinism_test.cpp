@@ -12,12 +12,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rrsim/core/paper.h"
 #include "rrsim/exec/sweep_runner.h"
+#include "rrsim/metrics/summary.h"
+#include "rrsim/workload/trace_cache.h"
 
 namespace rrsim::core {
 namespace {
@@ -199,6 +204,79 @@ TEST(SweepDeterminism, LastCacheStatsSeesCrossPointSharing) {
   // The second point's streams come straight from the cache the first
   // point (or an earlier test) populated.
   EXPECT_GT(sweep.last_cache_stats().stream_hits, 0u);
+}
+
+TEST(SweepDeterminism, AffinitySeesEveryLublinParameter) {
+  // Two workloads with one mean inter-arrival but different job shapes
+  // share no cached entry, so they must not share an affinity group.
+  ExperimentConfig a = tiny_config();
+  ExperimentConfig b = a;
+  b.base_workload.rt_log_base = 2.5;
+  ASSERT_EQ(a.base_workload.mean_interarrival(),
+            b.base_workload.mean_interarrival());
+  EXPECT_NE(trace_affinity(a), trace_affinity(b));
+  // Rescaling alpha and beta together keeps the mean but not the burst
+  // shape, and with it the generated stream.
+  ExperimentConfig c = a;
+  c.base_workload.arrival_alpha *= 2.0;
+  c.base_workload.arrival_beta /= 2.0;
+  EXPECT_NE(trace_affinity(a), trace_affinity(c));
+}
+
+/// A calibrated, windowed grid sweep in the micro_gridsweep shape at toy
+/// scale: four treatment points over one workload with clusters of
+/// different sizes, two replications each. Returns one digest per point
+/// over the exact bits of every replication's result.
+std::vector<std::uint64_t> run_calibrated_sweep(int jobs,
+                                                SweepCacheStats& stats) {
+  workload::TraceCache::global().clear();
+  const std::vector<std::pair<int, double>> points{
+      {2, 0.25}, {2, 1.0}, {4, 0.5}, {4, 1.0}};
+  std::vector<std::uint64_t> digests(points.size(), 1469598103934665603ULL);
+  CampaignSweep sweep(2, jobs);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    ExperimentConfig c;
+    c.n_clusters = 4;
+    c.cluster_nodes = {16, 64, 32, 128};
+    c.load_mode = LoadMode::kCalibrated;
+    c.target_utilization = 0.7;
+    c.submit_horizon = 1200.0;
+    c.scheme = RedundancyScheme::fixed(points[i].first);
+    c.redundant_fraction = points[i].second;
+    c.retain_records = false;
+    c.stream_window = 32;
+    c.seed = 5;
+    sweep.add_experiments(c, [&digests, i](int, const SimResult& r) {
+      const auto mix = [&digests, i](std::uint64_t v) {
+        digests[i] = (digests[i] * 6364136223846793005ULL) ^ v;
+      };
+      const metrics::ScheduleMetrics m = r.stream.metrics();
+      mix(r.jobs_generated);
+      mix(r.ops.starts);
+      mix(r.ops.cancels);
+      mix(std::bit_cast<std::uint64_t>(r.end_time));
+      mix(std::bit_cast<std::uint64_t>(m.avg_stretch));
+      mix(std::bit_cast<std::uint64_t>(m.max_stretch));
+      mix(std::bit_cast<std::uint64_t>(m.avg_turnaround));
+    });
+  }
+  sweep.run();
+  stats = sweep.last_cache_stats();
+  return digests;
+}
+
+TEST(SweepDeterminism, CalibratedSweepIsIdenticalForAnyJobCount) {
+  SweepCacheStats serial_stats;
+  const std::vector<std::uint64_t> serial =
+      run_calibrated_sweep(1, serial_stats);
+  for (const int jobs : {1, 2, 8}) {
+    SweepCacheStats stats;
+    EXPECT_EQ(run_calibrated_sweep(jobs, stats), serial) << "jobs=" << jobs;
+    // Each replication's leader calibrates its 4 clusters once; the three
+    // other points of that replication read all 4 from the cache.
+    EXPECT_EQ(stats.calibration_misses, 2u * 4u) << "jobs=" << jobs;
+    EXPECT_EQ(stats.calibration_hits, 2u * 3u * 4u) << "jobs=" << jobs;
+  }
 }
 
 TEST(SweepDeterminism, ValidatesArguments) {

@@ -1,12 +1,16 @@
 // TraceCache contract: one generation per distinct key, shared snapshots
 // on hits, generate-every-time when disabled, bitwise key sensitivity,
-// checkpoint-table entries alongside streams, and least-recently-used
-// eviction under a byte budget (hits refresh recency).
+// checkpoint-table, draw-segment, calibration and spool entries alongside
+// streams, and least-recently-used eviction under a byte budget (hits
+// refresh recency).
 #include "rrsim/workload/trace_cache.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace rrsim::workload {
 namespace {
@@ -345,6 +349,235 @@ TEST(TraceCache, LiveConsumersSurviveEviction) {
   cache.get_or_generate(key_with(2), [] { return make_stream(1); });
   EXPECT_EQ(cache.entries(), 1u);  // key 1 evicted...
   EXPECT_EQ(held->size(), 1u);     // ...but the held snapshot stays valid
+}
+
+CalibrationKey calibration_key_with(std::uint64_t rng_state) {
+  CalibrationKey k;
+  k.max_nodes = 128;
+  k.target_util = 0.7;
+  k.samples = 20000;
+  k.rng_start = {rng_state, 1442695040888963407ULL};
+  return k;
+}
+
+Calibration calibration_of(double iat) {
+  Calibration c;
+  c.mean_interarrival = iat;
+  c.rng_end = {99, 1442695040888963407ULL};
+  return c;
+}
+
+/// Every LublinParams field, for the per-field key-sensitivity checks.
+constexpr std::array<double LublinParams::*, 16> kLublinFields{
+    &LublinParams::arrival_alpha, &LublinParams::arrival_beta,
+    &LublinParams::serial_prob,   &LublinParams::pow2_prob,
+    &LublinParams::ulow,          &LublinParams::uprob,
+    &LublinParams::umed_offset,   &LublinParams::rt_a1,
+    &LublinParams::rt_b1,         &LublinParams::rt_a2,
+    &LublinParams::rt_b2,         &LublinParams::rt_pa,
+    &LublinParams::rt_pb,         &LublinParams::rt_log_base,
+    &LublinParams::min_runtime,   &LublinParams::max_runtime};
+
+TEST(TraceCache, CalibrationsAreMemoizedPerKey) {
+  TraceCache cache;
+  int calibrations = 0;
+  const auto calibrate = [&calibrations] {
+    ++calibrations;
+    return calibration_of(42.5);
+  };
+  const Calibration a =
+      cache.get_or_calibrate(calibration_key_with(1), calibrate);
+  const Calibration b =
+      cache.get_or_calibrate(calibration_key_with(1), calibrate);
+  EXPECT_EQ(calibrations, 1);
+  EXPECT_EQ(a.mean_interarrival, 42.5);
+  EXPECT_EQ(b.mean_interarrival, 42.5);
+  // A hit hands back the end fingerprint too: the caller restores its
+  // calibration generator from it.
+  EXPECT_EQ(b.rng_end, a.rng_end);
+  EXPECT_EQ(cache.calibration_hits(), 1u);
+  EXPECT_EQ(cache.calibration_misses(), 1u);
+  EXPECT_EQ(cache.entries(), 1u);
+  EXPECT_EQ(cache.resident_bytes(), sizeof(Calibration));
+  // Calibration traffic touches no other kind's counters.
+  EXPECT_EQ(cache.hits() + cache.misses(), 0u);
+  EXPECT_EQ(cache.checkpoint_hits() + cache.checkpoint_misses(), 0u);
+  EXPECT_EQ(cache.draw_hits() + cache.draw_misses(), 0u);
+  EXPECT_EQ(cache.spool_hits() + cache.spool_misses(), 0u);
+}
+
+TEST(TraceCache, CalibrationKeyIsSensitiveToEveryField) {
+  const CalibrationKey base = calibration_key_with(1);
+  std::vector<CalibrationKey> variants;
+  for (double LublinParams::*field : kLublinFields) {
+    CalibrationKey k = base;
+    k.params.*field += 0.125;
+    variants.push_back(k);
+  }
+  CalibrationKey k = base;
+  k.max_nodes = 64;
+  variants.push_back(k);
+  k = base;
+  k.target_util = 0.5;
+  variants.push_back(k);
+  k = base;
+  k.samples = 1000;
+  variants.push_back(k);
+  k = base;
+  k.rng_start.first += 1;  // generator state
+  variants.push_back(k);
+  k = base;
+  k.rng_start.second += 2;  // generator stream (increment)
+  variants.push_back(k);
+
+  TraceCache cache;
+  int calibrations = 0;
+  const auto calibrate = [&calibrations] {
+    ++calibrations;
+    return calibration_of(static_cast<double>(calibrations));
+  };
+  cache.get_or_calibrate(base, calibrate);
+  for (const CalibrationKey& v : variants) cache.get_or_calibrate(v, calibrate);
+  EXPECT_EQ(calibrations, static_cast<int>(1 + variants.size()));
+  EXPECT_EQ(cache.entries(), 1 + variants.size());
+  EXPECT_EQ(cache.calibration_hits(), 0u);
+  // The base key still hits its own value.
+  EXPECT_EQ(cache.get_or_calibrate(base, calibrate).mean_interarrival, 1.0);
+  EXPECT_EQ(cache.calibration_hits(), 1u);
+
+  // of() captures the live generator's fingerprint and the other fields.
+  const util::Rng rng(7, 3);
+  const CalibrationKey live =
+      CalibrationKey::of(LublinParams{}, 32, 0.6, rng, 500);
+  EXPECT_EQ(live.rng_start, rng.fingerprint());
+  EXPECT_EQ(live.max_nodes, 32);
+  EXPECT_EQ(live.target_util, 0.6);
+  EXPECT_EQ(live.samples, 500);
+}
+
+TEST(TraceCache, LublinFieldWalkCoversEveryParamsField) {
+  // The one walk behind TraceKey, CalibrationKey and trace_affinity:
+  // field i of the declaration order is visited i-th, and no field is
+  // left out.
+  const auto visited = [](const LublinParams& p) {
+    std::vector<double> out;
+    for_each_lublin_field(p, [&out](double v) { out.push_back(v); });
+    return out;
+  };
+  const LublinParams base;
+  const std::vector<double> base_values = visited(base);
+  ASSERT_EQ(base_values.size(), kLublinFields.size());
+  for (std::size_t i = 0; i < kLublinFields.size(); ++i) {
+    LublinParams changed = base;
+    changed.*kLublinFields[i] += 0.125;
+    std::vector<double> want = base_values;
+    want[i] = changed.*kLublinFields[i];
+    EXPECT_EQ(visited(changed), want) << "field " << i;
+  }
+  // Trace keys inherit the sensitivity.
+  TraceKey a = key_with(1);
+  TraceKey b = a;
+  b.params.rt_log_base = 2.718281828459045;
+  EXPECT_NE(a.bytes(), b.bytes());
+}
+
+TEST(TraceCache, DisabledModeCalibratesEveryTimeWithoutPublishing) {
+  TraceCache cache;
+  cache.set_enabled(false);
+  int calibrations = 0;
+  const auto calibrate = [&calibrations] {
+    ++calibrations;
+    return calibration_of(3.0);
+  };
+  const Calibration a =
+      cache.get_or_calibrate(calibration_key_with(1), calibrate);
+  cache.get_or_calibrate(calibration_key_with(1), calibrate);
+  EXPECT_EQ(calibrations, 2);
+  EXPECT_EQ(a.mean_interarrival, 3.0);
+  EXPECT_EQ(cache.entries(), 0u);
+  EXPECT_EQ(cache.calibration_misses(), 2u);
+  EXPECT_EQ(cache.calibration_hits(), 0u);
+
+  cache.set_enabled(true);
+  cache.get_or_calibrate(calibration_key_with(1), calibrate);
+  EXPECT_EQ(calibrations, 3);  // nothing was published while disabled
+  EXPECT_EQ(cache.entries(), 1u);
+}
+
+TEST(TraceCache, ClearZeroesCalibrationCounters) {
+  TraceCache cache;
+  int calibrations = 0;
+  const auto calibrate = [&calibrations] {
+    ++calibrations;
+    return calibration_of(1.0);
+  };
+  cache.get_or_calibrate(calibration_key_with(1), calibrate);
+  cache.get_or_calibrate(calibration_key_with(1), calibrate);
+  cache.clear();
+  EXPECT_EQ(cache.calibration_hits(), 0u);
+  EXPECT_EQ(cache.calibration_misses(), 0u);
+  EXPECT_EQ(cache.entries(), 0u);
+  EXPECT_EQ(cache.resident_bytes(), 0u);
+  cache.get_or_calibrate(calibration_key_with(1), calibrate);
+  EXPECT_EQ(calibrations, 2);  // the cleared entry is really gone
+}
+
+TEST(TraceCache, ByteBudgetEvictsAcrossAllFiveKinds) {
+  TraceCache cache;
+  // One entry of every kind, oldest first; record what each one charges.
+  std::vector<std::size_t> charged;
+  const auto charge = [&cache, &charged] {
+    std::size_t before = 0;
+    for (const std::size_t b : charged) before += b;
+    charged.push_back(cache.resident_bytes() - before);
+  };
+  cache.get_or_generate(key_with(1), [] { return make_stream(2); });
+  charge();
+  cache.get_or_build_checkpoints(key_with(2), 4, [] {
+    CheckpointedTrace t;
+    t.window = 4;
+    t.checkpoints.resize(2);
+    t.checkpoints.shrink_to_fit();
+    return t;
+  });
+  charge();
+  cache.get_or_advance_draws(draw_key_with(1), [] { return DrawSegment{}; });
+  charge();
+  cache.get_or_calibrate(calibration_key_with(1),
+                         [] { return calibration_of(1.0); });
+  charge();
+  SpoolKey skey;
+  skey.path = "trace.swf";
+  skey.window = 4;
+  cache.get_or_build_spool(skey, [] {
+    WindowSpool spool(4);
+    for (const JobSpec& spec : make_stream(6)) spool.append(spec);
+    spool.finish();
+    return spool;
+  });
+  charge();
+  ASSERT_EQ(cache.entries(), 5u);
+  for (const std::size_t b : charged) EXPECT_GT(b, 0u);
+  EXPECT_EQ(charged[2], sizeof(DrawSegment));
+  EXPECT_EQ(charged[3], sizeof(Calibration));
+
+  // Shrinking the budget one entry's worth at a time evicts exactly one
+  // entry per step, least recently used first, whatever its kind.
+  std::size_t remaining = cache.resident_bytes();
+  for (std::size_t i = 0; i < charged.size(); ++i) {
+    remaining -= charged[i];
+    cache.set_byte_budget(remaining == 0 ? 1 : remaining);
+    EXPECT_EQ(cache.entries(), charged.size() - i - 1) << "step " << i;
+    EXPECT_EQ(cache.resident_bytes(), remaining) << "step " << i;
+  }
+  // The calibration really went: looking it up again recalibrates.
+  cache.set_byte_budget(0);
+  int calibrations = 0;
+  cache.get_or_calibrate(calibration_key_with(1), [&calibrations] {
+    ++calibrations;
+    return calibration_of(1.0);
+  });
+  EXPECT_EQ(calibrations, 1);
 }
 
 }  // namespace
