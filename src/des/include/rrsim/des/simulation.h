@@ -13,24 +13,14 @@
 // (slot, generation) pair: recycling a slot bumps its generation, so a
 // stale handle can never cancel a later event that reuses its slot.
 //
-// The pending set is a two-tier calendar queue over the slab:
-//
-//   far tier   — an overflow list plus, per "season", an array of time
-//                buckets; membership is intrusive (doubly linked through
-//                slab slots), so inserting and cancelling far events is
-//                O(1) and allocation-free.
-//   near tier  — a small binary heap holding exactly the events with
-//                time < heap_limit_; the heap top is therefore always
-//                the global minimum under the (time, priority, sequence)
-//                total order, which keeps dispatch order bit-identical
-//                to the plain-binary-heap kernel this design replaced.
-//
-// When the near heap empties, the next non-empty bucket is drained into
-// it (amortized O(1) per event); when a season's buckets are exhausted,
-// the overflow list is scanned once and re-bucketed over its actual time
-// span. DES workloads here schedule most events far ahead (all arrivals
-// up front, completions a runtime ahead), so the near heap stays tiny and
-// cache-resident instead of growing with the whole pending population.
+// The pending set is one binary heap of (time, priority, sequence)
+// entries over the slab. Cancelling an event retires its slot at once
+// and leaves the heap entry behind to be skipped when it surfaces; the
+// heap is rebuilt from its live entries whenever stale ones outnumber
+// them, so its size stays within a constant factor of the live event
+// count. The experiment layer's arrival pump stages one tie cohort of
+// arrivals at a time, so the live population stays small (hundreds to a
+// few thousand events) and the heap stays cache-resident.
 #pragma once
 
 #include <cstdint>
@@ -218,9 +208,8 @@ class Simulation {
   void run_before(Time t);
 
   /// Timestamp of the earliest live event, or kTimeInfinity when none
-  /// remain. May refill the near heap from the calendar tiers and drop
-  /// stale (cancelled) heap entries, but dispatches nothing and never
-  /// changes the observable dispatch order.
+  /// remain. May drop stale (cancelled) heap entries, but dispatches
+  /// nothing and never changes the observable dispatch order.
   Time next_event_time();
 
   /// Number of live (non-cancelled) events still queued.
@@ -234,8 +223,8 @@ class Simulation {
   std::size_t pool_capacity() const noexcept { return slots_.size(); }
 
   /// Returns the simulation to its initial state — time 0, no events, no
-  /// dispatch history — while keeping the event slab, free list, heap,
-  /// and bucket storage allocated, so a reset simulation schedules its
+  /// dispatch history — while keeping the event slab, free list and heap
+  /// storage allocated, so a reset simulation schedules its
   /// first events with warm arenas. Every outstanding EventHandle becomes
   /// inert (each slot's generation is bumped), so a stale handle can
   /// neither cancel nor report pending for events of the next run. A
@@ -270,44 +259,22 @@ class Simulation {
 #endif
 
  private:
-  static constexpr std::uint32_t kNil = 0xffffffffu;
-  /// Sentinel bucket index marking membership in the overflow list.
-  static constexpr std::uint32_t kOverflowBucket = 0xfffffffeu;
-  /// Overflow populations at or below this size skip bucketing and move
-  /// straight into the near heap (a plain-heap season), so tiny event
-  /// populations never pay the per-season bucket-array scan. Measured on
-  /// the micro_campaign 1k-live churn: raising this to 2048 made the
-  /// kernel ~40% slower (bucketed refills keep the near heap a few
-  /// entries deep, which beats O(log n) pushes even at n = 1024), so the
-  /// threshold only covers populations too small to subdivide at all.
-  static constexpr std::size_t kDirectMoveThreshold = 64;
-  static constexpr std::size_t kMinBuckets = 16;
-  static constexpr std::size_t kMaxBuckets = 1024;
-
-  enum class Where : std::uint8_t {
-    kFree = 0,  ///< on the free list
-    kNear = 1,  ///< in the near heap (entry holds a by-value copy)
-    kFar = 2,   ///< linked into a bucket or the overflow list
-  };
+  /// Stale heap entries tolerated beyond the live count before the heap
+  /// is rebuilt (see heap_push); keeps tiny queues from compacting on
+  /// every cancel.
+  static constexpr std::size_t kCompactSlack = 64;
 
   // One pooled event. `generation` counts retirements of the slot: a
   // heap entry or handle created with generation g is live iff the slot
   // still holds generation g. Cancelling or firing retires the slot
-  // (bumps the generation and returns the index to the free list). Far
-  // events are additionally linked through prev/next, so cancelling one
-  // unlinks and retires it immediately — O(1), and the slot is reusable
-  // at once (the pooled-slab recycling tests pin this).
+  // (bumps the generation and returns the index to the free list), so
+  // the slot is reusable at once (the pooled-slab recycling tests pin
+  // this) and its heap entry turns stale. The event's (time, priority,
+  // seq) key lives only in its heap entry.
   struct Slot {
     Callback callback;
     std::uint64_t generation = 0;
-    Time time = 0.0;
-    std::uint64_t seq = 0;
-    std::uint32_t next = kNil;
-    std::uint32_t prev = kNil;
-    std::uint32_t bucket = kNil;  ///< owning list while kFar
     std::uint32_t tag = kNoEventTag;
-    std::uint8_t priority = 0;
-    Where where = Where::kFree;
 #if RRSIM_VALIDATE_ENABLED
     /// Dispatch count at schedule time. The order oracle compares the
     /// full (time, priority, seq) triple only against events that were
@@ -328,7 +295,7 @@ class Simulation {
     // std::push_heap/pop_heap build a max-heap; invert so the earliest
     // (time, priority, seq) triple is dispatched first. The heap lives in
     // a plain vector (not std::priority_queue) so reset() can clear it
-    // without surrendering its capacity.
+    // without surrendering its capacity and compaction can filter it.
     bool operator()(const QueueEntry& a, const QueueEntry& b) const noexcept {
       if (a.time != b.time) return a.time > b.time;
       if (a.priority != b.priority) return a.priority > b.priority;
@@ -345,38 +312,15 @@ class Simulation {
   /// move it out first), bumps the generation, recycles the index.
   void retire(std::uint32_t slot) noexcept;
 
-  /// Removes a far event from its bucket/overflow list (O(1)).
-  void unlink(std::uint32_t slot) noexcept;
-
-  /// Links `slot` at the head of bucket `b` (kOverflowBucket = overflow).
-  void link(std::uint32_t slot, std::uint32_t b) noexcept;
-
-  /// Start time of bucket `i` in the current season.
-  Time bucket_start(std::size_t i) const noexcept {
-    return bucket_base_ + static_cast<Time>(i) * bucket_width_;
-  }
-
-  /// Bucket for a far event at time `t` in the active season. Guarantees
-  /// the correctness invariant: an event placed in bucket b > cur_bucket_
-  /// has t >= bucket_start(b), so draining earlier buckets never raises
-  /// heap_limit_ past an event still waiting in a later bucket.
-  std::uint32_t bucket_index(Time t) const noexcept;
-
-  /// Moves a far list (given by its head) into the near heap.
-  void drain_list_to_heap(std::uint32_t head);
-
-  /// Refills the near heap from the calendar tiers. Returns false iff no
-  /// events remain anywhere (heap, buckets, overflow).
-  bool refill();
-
-  /// Starts a new season from the overflow list: either buckets it over
-  /// its time span or, for small populations, moves it straight into the
-  /// near heap.
-  void start_season();
-
-  /// Heap helpers over heap_ (min-first per Compare).
+  /// Heap helpers over heap_ (min-first per Compare). heap_push first
+  /// rebuilds the heap from its live entries when stale ones outnumber
+  /// them, which costs amortized O(1) per cancel.
   void heap_push(const QueueEntry& e);
   void heap_pop() noexcept;
+
+  /// Drops the entries of retired slots from the top of the heap; returns
+  /// false iff no live event remains.
+  bool skim_stale() noexcept;
 
   /// Dispatch path while a TieBreakPolicy is installed: gathers the
   /// minimal-(time, priority) cohort and lets the policy choose.
@@ -389,19 +333,8 @@ class Simulation {
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
 
-  // Near tier: exact (time, priority, seq) heap of events < heap_limit_.
+  // Every queued event's entry, plus stale entries of retired slots.
   std::vector<QueueEntry> heap_;
-  Time heap_limit_ = 0.0;
-
-  // Far tier: current season's buckets plus the overflow list.
-  std::vector<std::uint32_t> bucket_heads_;  // kNil-terminated lists
-  std::size_t n_buckets_ = 0;                // 0: no active season
-  std::size_t cur_bucket_ = 0;               // next undrained bucket
-  Time bucket_base_ = 0.0;
-  Time bucket_width_ = 0.0;
-  Time bucket_range_end_ = 0.0;
-  std::uint32_t overflow_head_ = kNil;
-  std::size_t overflow_count_ = 0;
 
   // Tie-break policy hook (nullptr = default seq-order fast path). The
   // group trackers delimit maximal runs of same-(time, priority)

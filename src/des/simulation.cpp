@@ -10,11 +10,8 @@ namespace rrsim::des {
 
 bool Simulation::EventHandle::cancel() noexcept {
   if (sim_ == nullptr || !sim_->is_live(slot_, gen_)) return false;
-  // Far events unlink in O(1); near events leave their heap entry behind
-  // (lazily skipped at pop, exactly like the plain-heap kernel). Either
-  // way the slot itself is retired immediately, so the pooled-slab
-  // recycling guarantees are unchanged.
-  if (sim_->slots_[slot_].where == Where::kFar) sim_->unlink(slot_);
+  // The heap entry stays behind and is skipped when it surfaces (or
+  // dropped by the next compaction); the slot itself retires at once.
   sim_->retire(slot_);  // drops the callback's captures promptly
   if (sim_->live_ > 0) --sim_->live_;
   sim_ = nullptr;
@@ -29,59 +26,24 @@ void Simulation::retire(std::uint32_t slot) noexcept {
   Slot& s = slots_[slot];
   s.callback = nullptr;  // drop captured resources; cheap if already moved
   ++s.generation;
-  s.where = Where::kFree;
   free_slots_.push_back(slot);
 }
 
-void Simulation::unlink(std::uint32_t slot) noexcept {
-  Slot& s = slots_[slot];
-  if (s.prev != kNil) {
-    slots_[s.prev].next = s.next;
-  } else if (s.bucket == kOverflowBucket) {
-    overflow_head_ = s.next;
-  } else {
-    bucket_heads_[s.bucket] = s.next;
-  }
-  if (s.next != kNil) slots_[s.next].prev = s.prev;
-  if (s.bucket == kOverflowBucket) --overflow_count_;
-  s.next = kNil;
-  s.prev = kNil;
-  s.bucket = kNil;
-}
-
-void Simulation::link(std::uint32_t slot, std::uint32_t b) noexcept {
-  std::uint32_t& head =
-      (b == kOverflowBucket) ? overflow_head_ : bucket_heads_[b];
-  Slot& s = slots_[slot];
-  s.prev = kNil;
-  s.next = head;
-  s.bucket = b;
-  s.where = Where::kFar;
-  if (head != kNil) slots_[head].prev = slot;
-  head = slot;
-  if (b == kOverflowBucket) ++overflow_count_;
-}
-
-std::uint32_t Simulation::bucket_index(Time t) const noexcept {
-  const Time rel = (t - bucket_base_) / bucket_width_;
-  std::size_t idx;
-  if (!(rel > 0.0)) {
-    idx = 0;
-  } else if (rel >= static_cast<Time>(n_buckets_)) {
-    idx = n_buckets_ - 1;
-  } else {
-    idx = static_cast<std::size_t>(rel);
-    if (idx >= n_buckets_) idx = n_buckets_ - 1;  // FP edge of the cast
-  }
-  if (idx < cur_bucket_) idx = cur_bucket_;
-  // The division may round up across a bucket boundary; walk down until
-  // the bucket's computed start covers `t`. Events may legally land in
-  // bucket cur_bucket_ even below its start (it is the next one drained).
-  while (idx > cur_bucket_ && t < bucket_start(idx)) --idx;
-  return static_cast<std::uint32_t>(idx);
-}
-
 void Simulation::heap_push(const QueueEntry& e) {
+  // Cancelled events and policy-dispatched cohort members leave stale
+  // entries behind. Once they outnumber the live ones, filter them out
+  // and re-heapify in place: O(heap size), paid for by the more than
+  // live_ + kCompactSlack retirements since the last rebuild. Dispatch
+  // follows the total (time, priority, seq) order, so the layout change
+  // is invisible.
+  if (heap_.size() > 2 * live_ + kCompactSlack) {
+    heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
+                               [this](const QueueEntry& q) {
+                                 return !is_live(q.slot, q.gen);
+                               }),
+                heap_.end());
+    std::make_heap(heap_.begin(), heap_.end(), Compare{});
+  }
   heap_.push_back(e);
   std::push_heap(heap_.begin(), heap_.end(), Compare{});
 }
@@ -91,100 +53,13 @@ void Simulation::heap_pop() noexcept {
   heap_.pop_back();
 }
 
-void Simulation::drain_list_to_heap(std::uint32_t head) {
-  for (std::uint32_t i = head; i != kNil;) {
-    Slot& s = slots_[i];
-    const std::uint32_t next = s.next;
-    s.next = kNil;
-    s.prev = kNil;
-    s.bucket = kNil;
-    s.where = Where::kNear;
-    heap_push(QueueEntry{s.time, static_cast<int>(s.priority), s.seq, i,
-                         s.generation});
-    i = next;
+bool Simulation::skim_stale() noexcept {
+  while (!heap_.empty()) {
+    const QueueEntry& top = heap_.front();
+    if (is_live(top.slot, top.gen)) return true;
+    heap_pop();
   }
-}
-
-void Simulation::start_season() {
-  // One scan of the overflow list for population and time span.
-  Time min_t = slots_[overflow_head_].time;
-  Time max_t = min_t;
-  for (std::uint32_t i = overflow_head_; i != kNil; i = slots_[i].next) {
-    const Time t = slots_[i].time;
-    min_t = std::min(min_t, t);
-    max_t = std::max(max_t, t);
-  }
-  const std::size_t n = overflow_count_;
-  std::size_t n_buckets = 0;
-  Time width = 0.0;
-  if (n > kDirectMoveThreshold && max_t > min_t) {
-    n_buckets = std::clamp(n / 8, kMinBuckets, kMaxBuckets);
-    width = (max_t - min_t) / static_cast<Time>(n_buckets);
-    if (!(width > 0.0)) n_buckets = 0;  // span too narrow to subdivide
-  }
-  std::uint32_t i = overflow_head_;
-  overflow_head_ = kNil;
-  overflow_count_ = 0;
-  if (n_buckets == 0) {
-    // Plain-heap season: the whole population moves into the near heap.
-    while (i != kNil) {
-      Slot& s = slots_[i];
-      const std::uint32_t next = s.next;
-      s.next = kNil;
-      s.prev = kNil;
-      s.bucket = kNil;
-      s.where = Where::kNear;
-      heap_push(QueueEntry{s.time, static_cast<int>(s.priority), s.seq, i,
-                           s.generation});
-      i = next;
-    }
-    heap_limit_ =
-        std::nextafter(max_t, std::numeric_limits<Time>::infinity());
-    return;
-  }
-  if (bucket_heads_.size() < n_buckets) bucket_heads_.resize(n_buckets, kNil);
-  bucket_base_ = min_t;
-  bucket_width_ = width;
-  n_buckets_ = n_buckets;
-  cur_bucket_ = 0;
-  bucket_range_end_ = bucket_start(n_buckets);
-  if (!(bucket_range_end_ > max_t)) {
-    // FP guard: the last bucket must absorb max_t.
-    bucket_range_end_ =
-        std::nextafter(max_t, std::numeric_limits<Time>::infinity());
-  }
-  while (i != kNil) {
-    const std::uint32_t next = slots_[i].next;
-    link(i, bucket_index(slots_[i].time));
-    i = next;
-  }
-}
-
-bool Simulation::refill() {
-  for (;;) {
-    while (n_buckets_ != 0) {
-      if (cur_bucket_ == n_buckets_) {
-        // Season exhausted; everything below its range is dispatched or
-        // already in the heap.
-        n_buckets_ = 0;
-        cur_bucket_ = 0;
-        heap_limit_ = bucket_range_end_;
-        break;
-      }
-      const std::size_t b = cur_bucket_++;
-      heap_limit_ = (cur_bucket_ == n_buckets_) ? bucket_range_end_
-                                                : bucket_start(cur_bucket_);
-      const std::uint32_t head = bucket_heads_[b];
-      if (head != kNil) {
-        bucket_heads_[b] = kNil;
-        drain_list_to_heap(head);
-        return true;
-      }
-    }
-    if (overflow_count_ == 0) return !heap_.empty();
-    start_season();
-    if (!heap_.empty()) return true;  // plain-heap seasons fill it directly
-  }
+  return false;
 }
 
 Simulation::EventHandle Simulation::schedule_at(Time t, Callback cb,
@@ -207,22 +82,12 @@ Simulation::EventHandle Simulation::schedule_at(Time t, Callback cb,
   }
   Slot& slot = slots_[index];
   slot.callback = std::move(cb);
-  slot.time = t;
-  slot.seq = next_seq_++;
   slot.tag = tag;
-  slot.priority = static_cast<std::uint8_t>(prio);
 #if RRSIM_VALIDATE_ENABLED
   slot.epoch = dispatched_;
 #endif
-  if (t < heap_limit_) {
-    slot.where = Where::kNear;
-    heap_push(QueueEntry{t, static_cast<int>(prio), slot.seq, index,
-                         slot.generation});
-  } else if (n_buckets_ != 0 && t < bucket_range_end_) {
-    link(index, bucket_index(t));
-  } else {
-    link(index, kOverflowBucket);
-  }
+  heap_push(QueueEntry{t, static_cast<int>(prio), next_seq_++, index,
+                       slot.generation});
   ++live_;
   return EventHandle(this, index, slot.generation);
 }
@@ -241,14 +106,9 @@ void TieBreakPolicy::attach_coupling_probe(
 }
 
 bool Simulation::step_policy() {
-  // Skim stale entries until the heap top is live (refilling as needed):
-  // the top then carries the global minimum under (time, priority, seq).
-  for (;;) {
-    if (heap_.empty() && !refill()) return false;
-    const QueueEntry& top = heap_.front();
-    if (is_live(top.slot, top.gen)) break;
-    heap_pop();
-  }
+  // Once stale entries are skimmed, the heap top carries the global
+  // minimum under (time, priority, seq).
+  if (!skim_stale()) return false;
   const Time t = heap_.front().time;
   const int prio = heap_.front().priority;
   // Group accounting: each maximal run of same-(time, priority)
@@ -260,10 +120,8 @@ bool Simulation::step_policy() {
     group_prio_ = prio;
     ++tie_groups_;
   }
-  // Gather the cohort. The calendar invariant — every live event below
-  // heap_limit_ sits in the near heap, far events are at or above it —
-  // puts every event sharing the minimal (time, priority) pair in heap_,
-  // so a single scan sees the whole group.
+  // Gather the cohort: every live event has an entry in heap_, so a
+  // single scan sees the whole minimal-(time, priority) group.
   group_members_.clear();
   for (const QueueEntry& e : heap_) {
     if (e.time != t || e.priority != prio) continue;
@@ -309,8 +167,8 @@ bool Simulation::step_policy() {
 #endif
   now_ = t;
   // Dispatch the chosen member directly off its slot. Its heap entry (if
-  // it was not the top) stays behind and is lazily skipped once the slot
-  // retires — the same mechanism that absorbs cancelled near events.
+  // it was not the top) stays behind and is skipped once the slot
+  // retires — the same mechanism that absorbs cancelled events.
   Callback cb(std::move(slots_[chosen.slot].callback));
   retire(chosen.slot);
   if (live_ > 0) --live_;
@@ -321,49 +179,46 @@ bool Simulation::step_policy() {
 
 bool Simulation::step() {
   if (policy_ != nullptr) return step_policy();
-  for (;;) {
-    if (heap_.empty() && !refill()) return false;
-    const QueueEntry entry = heap_.front();
-    heap_pop();
-    if (!is_live(entry.slot, entry.gen)) continue;  // cancelled; skip
+  if (!skim_stale()) return false;
+  const QueueEntry entry = heap_.front();
+  heap_pop();
 #if RRSIM_VALIDATE_ENABLED
-    // Dispatch-order oracle. Time never goes backwards; the full
-    // (time, priority, seq) order additionally holds against any event
-    // that was already queued at the previous pop (an event inserted
-    // during that dispatch may legally share its time with a lower
-    // priority, so only the time axis binds for those).
-    RRSIM_CHECK(entry.time >= now_, "event dispatched before now()");
-    if (vd_have_last_) {
-      RRSIM_CHECK(entry.time >= vd_last_time_,
-                  "dispatch time went backwards");
-      if (slots_[entry.slot].epoch < vd_last_epoch_) {
-        const bool after =
-            entry.time > vd_last_time_ ||
-            entry.priority > vd_last_prio_ ||
-            (entry.priority == vd_last_prio_ && entry.seq > vd_last_seq_);
-        RRSIM_CHECK(after,
-                    "(time, priority, seq) dispatch order violated for "
-                    "events queued across a pop");
-      }
+  // Dispatch-order oracle. Time never goes backwards; the full
+  // (time, priority, seq) order additionally holds against any event
+  // that was already queued at the previous pop (an event inserted
+  // during that dispatch may legally share its time with a lower
+  // priority, so only the time axis binds for those).
+  RRSIM_CHECK(entry.time >= now_, "event dispatched before now()");
+  if (vd_have_last_) {
+    RRSIM_CHECK(entry.time >= vd_last_time_,
+                "dispatch time went backwards");
+    if (slots_[entry.slot].epoch < vd_last_epoch_) {
+      const bool after =
+          entry.time > vd_last_time_ ||
+          entry.priority > vd_last_prio_ ||
+          (entry.priority == vd_last_prio_ && entry.seq > vd_last_seq_);
+      RRSIM_CHECK(after,
+                  "(time, priority, seq) dispatch order violated for "
+                  "events queued across a pop");
     }
-    vd_have_last_ = true;
-    vd_last_time_ = entry.time;
-    vd_last_prio_ = entry.priority;
-    vd_last_seq_ = entry.seq;
-    vd_last_epoch_ = dispatched_ + 1;
-#endif
-    now_ = entry.time;
-    // Move the callback out (single move-construction — cheaper than
-    // going through retire()'s assignment) and retire the slot *before*
-    // running it, so the callback can schedule new events (possibly
-    // reusing this slot) and outstanding handles read "fired".
-    Callback cb(std::move(slots_[entry.slot].callback));
-    retire(entry.slot);
-    if (live_ > 0) --live_;
-    ++dispatched_;
-    cb();
-    return true;
   }
+  vd_have_last_ = true;
+  vd_last_time_ = entry.time;
+  vd_last_prio_ = entry.priority;
+  vd_last_seq_ = entry.seq;
+  vd_last_epoch_ = dispatched_ + 1;
+#endif
+  now_ = entry.time;
+  // Move the callback out (single move-construction — cheaper than
+  // going through retire()'s assignment) and retire the slot *before*
+  // running it, so the callback can schedule new events (possibly
+  // reusing this slot) and outstanding handles read "fired".
+  Callback cb(std::move(slots_[entry.slot].callback));
+  retire(entry.slot);
+  if (live_ > 0) --live_;
+  ++dispatched_;
+  cb();
+  return true;
 }
 
 void Simulation::run() {
@@ -373,50 +228,24 @@ void Simulation::run() {
 
 void Simulation::run_until(Time t) {
   if (t < now_) throw std::invalid_argument("run_until: time in the past");
-  for (;;) {
-    if (heap_.empty() && !refill()) break;
-    const QueueEntry& top = heap_.front();
-    if (!is_live(top.slot, top.gen)) {
-      heap_pop();
-      continue;
-    }
-    if (top.time > t) break;
-    step();
-  }
+  while (skim_stale() && !(heap_.front().time > t)) step();
   now_ = t;
 }
 
 void Simulation::run_before(Time t) {
   if (t < now_) throw std::invalid_argument("run_before: time in the past");
-  for (;;) {
-    if (heap_.empty() && !refill()) break;
-    const QueueEntry& top = heap_.front();
-    if (!is_live(top.slot, top.gen)) {
-      heap_pop();
-      continue;
-    }
-    if (!(top.time < t)) break;
-    step();
-  }
+  while (skim_stale() && heap_.front().time < t) step();
   if (t > now_) now_ = t;
 }
 
 Time Simulation::next_event_time() {
-  for (;;) {
-    if (heap_.empty() && !refill()) return kTimeInfinity;
-    const QueueEntry& top = heap_.front();
-    if (!is_live(top.slot, top.gen)) {
-      heap_pop();
-      continue;
-    }
-    return top.time;
-  }
+  return skim_stale() ? heap_.front().time : kTimeInfinity;
 }
 
 #if RRSIM_VALIDATE_ENABLED
 std::uint64_t Simulation::debug_fingerprint() const noexcept {
   // FNV-1a over the semantic state. Arena capacities (slab size, heap /
-  // bucket / free-list storage) are deliberately excluded: they are what
+  // free-list storage) are deliberately excluded: they are what
   // reset() keeps warm. What must match a fresh simulation is everything
   // observable through the public API plus queue occupancy.
   std::uint64_t h = 0xcbf29ce484222325ull;
@@ -437,25 +266,12 @@ std::uint64_t Simulation::debug_fingerprint() const noexcept {
   mix(dispatched_);
   mix(live_);
   mix(heap_.size());
-  mix_time(heap_limit_);
-  mix(n_buckets_);
-  mix(cur_bucket_);
-  mix_time(bucket_base_);
-  mix_time(bucket_width_);
-  mix_time(bucket_range_end_);
-  mix(overflow_head_ == kNil ? 0 : 1);
-  mix(overflow_count_);
   mix(slots_.size() - free_slots_.size());  // slots not on the free list
-  std::uint64_t busy = 0;
+  std::uint64_t armed = 0;  // slots still holding a callback
   for (const Slot& s : slots_) {
-    if (s.where != Where::kFree) ++busy;
+    if (s.callback) ++armed;
   }
-  mix(busy);
-  std::uint64_t linked_heads = 0;
-  for (const std::uint32_t head : bucket_heads_) {
-    if (head != kNil) ++linked_heads;
-  }
-  mix(linked_heads);
+  mix(armed);
   mix(policy_ == nullptr ? 0 : 1);
   mix(policy_partition_);
   mix(tie_groups_);
@@ -471,14 +287,6 @@ void Simulation::reset() noexcept {
   dispatched_ = 0;
   live_ = 0;
   heap_.clear();
-  heap_limit_ = 0.0;
-  n_buckets_ = 0;
-  cur_bucket_ = 0;
-  bucket_base_ = 0.0;
-  bucket_width_ = 0.0;
-  bucket_range_end_ = 0.0;
-  overflow_head_ = kNil;
-  overflow_count_ = 0;
   // The policy is per-run configuration: clearing it keeps a pooled
   // workspace simulation from calling into a policy object the previous
   // run's driver may already have destroyed.
@@ -490,7 +298,6 @@ void Simulation::reset() noexcept {
   group_prio_ = 0;
   group_members_.clear();
   group_scratch_.clear();
-  std::fill(bucket_heads_.begin(), bucket_heads_.end(), kNil);
   // Retire every slot: destroy lingering callbacks (a truncated run leaves
   // events queued) and bump generations so handles from the previous run
   // are inert. The free list is rebuilt highest-index-first so the next
@@ -501,10 +308,6 @@ void Simulation::reset() noexcept {
     Slot& s = slots_[i];
     s.callback = nullptr;
     ++s.generation;
-    s.where = Where::kFree;
-    s.next = kNil;
-    s.prev = kNil;
-    s.bucket = kNil;
     free_slots_.push_back(static_cast<std::uint32_t>(i));
   }
 #if RRSIM_VALIDATE_ENABLED

@@ -82,6 +82,13 @@ void Gateway::submit(const GridJob& job, double remote_inflation) {
   if (job.id > std::numeric_limits<std::uint32_t>::max()) {
     throw std::invalid_argument("grid job id exceeds the 32-bit id space");
   }
+  if (job.origin >= platform_.size()) {
+    throw std::invalid_argument("origin cluster outside the platform");
+  }
+  if (*std::max_element(job.targets.begin(), job.targets.end()) >=
+      platform_.size()) {
+    throw std::invalid_argument("target cluster outside the platform");
+  }
   if (std::find(job.targets.begin(), job.targets.end(), job.origin) ==
       job.targets.end()) {
     throw std::invalid_argument("origin cluster must be among the targets");

@@ -29,16 +29,12 @@ namespace rrsim::sched {
 /// Conservative-backfilling batch scheduler.
 class CbfScheduler final : public ClusterScheduler {
  public:
-  /// `compress_on_early_completion`: when a job finishes before its
-  /// requested time, release the unused tail of its footprint and pull
-  /// every reservation as early as possible (the "compression" step of
-  /// the published algorithm). Disable for very deep queues where O(Q)
-  /// compression per completion dominates; predictions and correctness
-  /// are unaffected, only responsiveness to early completions.
-  CbfScheduler(des::Simulation& sim, int total_nodes,
-               bool compress_on_early_completion = true)
+  /// When a job finishes before its requested time, the scheduler
+  /// releases the unused tail of its footprint and pulls every
+  /// reservation as early as possible (the "compression" step of the
+  /// published algorithm).
+  CbfScheduler(des::Simulation& sim, int total_nodes)
       : ClusterScheduler(sim, total_nodes),
-        compress_(compress_on_early_completion),
         profile_(total_nodes),
         rebuild_scratch_(total_nodes) {}
 
@@ -170,10 +166,8 @@ class CbfScheduler final : public ClusterScheduler {
 
   /// From-scratch fallback: resets the profile (in place) from the
   /// running set and re-reserves every queued job in FCFS order;
-  /// reservations can only move earlier. Used when compression is
-  /// disabled (the profile may then hold conservative "ghost" footprints
-  /// of early-finished jobs that a rebuild must drop), when
-  /// incremental_base_ok() fails, and by the self-check fallback.
+  /// reservations can only move earlier. Used when incremental_base_ok()
+  /// fails and by the self-check fallback.
   void rebuild_profile();
 
   /// Starts every queued job whose reservation time has arrived, then
@@ -191,7 +185,6 @@ class CbfScheduler final : public ClusterScheduler {
   void validate_index() const;
 #endif
 
-  bool compress_;
   std::vector<Entry> queue_;  // FCFS order
   Profile profile_;
   util::FlatHashMap<JobId, std::size_t> pos_;  // id -> queue position

@@ -41,16 +41,16 @@ TEST(HorizonApi, NextEventTimeSkipsCancelledEntries) {
   EXPECT_DOUBLE_EQ(sim.next_event_time(), 6.0);
 }
 
-TEST(HorizonApi, NextEventTimeSkipsCancelledAcrossCalendarTiers) {
-  // Far-future events live in coarser calendar tiers than near ones;
-  // cancelling the whole near cohort forces the peek to refill from the
-  // far tiers and still report the earliest *live* timestamp.
+TEST(HorizonApi, NextEventTimeSkipsAWholeCancelledCohort) {
+  // Cancelling every near event leaves only stale entries ahead of the
+  // far one; the peek must skip them all and report the earliest *live*
+  // timestamp.
   Simulation sim;
   std::vector<Simulation::EventHandle> near_events;
   for (int i = 0; i < 32; ++i) {
     near_events.push_back(sim.schedule_at(1.0 + i, [] {}));
   }
-  sim.schedule_at(5.0e6, [] {});  // far tier
+  sim.schedule_at(5.0e6, [] {});  // far future
   for (Simulation::EventHandle& h : near_events) EXPECT_TRUE(h.cancel());
   EXPECT_DOUBLE_EQ(sim.next_event_time(), 5.0e6);
   EXPECT_EQ(sim.pending_events(), 1u);

@@ -1,6 +1,7 @@
-// Pins the kernel overhaul's zero-allocation guarantee: once the event
-// slab, near heap, and season buckets are warm, the schedule → dispatch
-// path (including cancels and run_until) performs no heap allocation.
+// Pins the kernel's zero-allocation guarantee: once the event slab, free
+// list and heap are warm, the schedule → dispatch path (including cancels
+// and run_until) performs no heap allocation, and cancelled entries
+// cannot grow the heap without bound.
 // Global operator new is replaced with a counting shim for this binary,
 // so any allocation anywhere in the measured window fails the test.
 #include <gtest/gtest.h>
@@ -39,7 +40,7 @@ using rrsim::des::Simulation;
 using rrsim::des::Time;
 
 // One round of representative kernel traffic: a burst of events spread
-// over a wide horizon (forces a bucketed season), sparse cancellations,
+// over a wide horizon, sparse cancellations,
 // a bounded run_until, then drain. `handles` must be pre-reserved by the
 // caller so handle bookkeeping itself cannot allocate.
 void churn_round(Simulation& sim, std::vector<Simulation::EventHandle>& handles,
@@ -62,8 +63,8 @@ TEST(KernelAllocation, WarmScheduleDispatchPathDoesNotAllocate) {
   std::vector<Simulation::EventHandle> handles;
   handles.reserve(600);
   std::uint64_t sink = 0;
-  // Warm every arena the workload can touch: slab, free list, near heap,
-  // bucket heads — including the post-reset re-warm path.
+  // Warm every arena the workload can touch: slab, free list, heap —
+  // including the post-reset re-warm path.
   churn_round(sim, handles, &sink);
   sim.reset();
   churn_round(sim, handles, &sink);
@@ -77,6 +78,35 @@ TEST(KernelAllocation, WarmScheduleDispatchPathDoesNotAllocate) {
   EXPECT_EQ(after - before, 0u)
       << "schedule/dispatch/cancel/reset allocated on a warm kernel";
   EXPECT_GT(sink, 0u);
+}
+
+TEST(KernelAllocation, CancelChurnKeepsStaleHeapEntriesBounded) {
+  // Each cancel leaves a stale heap entry behind. Unless the heap drops
+  // them once they outnumber the live events, a million schedule/cancel
+  // pairs beside one live event would keep growing heap_ (and so
+  // reallocating it) instead of running in the warm arenas.
+  Simulation sim;
+  std::vector<Simulation::EventHandle> handles;
+  handles.reserve(600);
+  std::uint64_t sink = 0;
+  churn_round(sim, handles, &sink);
+  sim.reset();
+
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  sim.schedule_at(1.0, [&sink] { ++sink; });
+  for (int i = 0; i < 1000000; ++i) {
+    Simulation::EventHandle far =
+        sim.schedule_at(1.0e9 + i, [&sink] { sink += 1000; });
+    far.cancel();
+  }
+  EXPECT_EQ(sim.pending_events(), 1u);
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u)
+      << "cancelled entries grew the heap past its warm capacity";
+  const std::uint64_t fired_before = sink;
+  sim.run();
+  EXPECT_EQ(sink, fired_before + 1);  // only the live event fires
+  EXPECT_EQ(sim.next_event_time(), rrsim::des::kTimeInfinity);
 }
 
 TEST(KernelAllocation, ColdKernelAllocatesOnlyWhileGrowing) {

@@ -62,6 +62,36 @@ TEST(Gateway, ValidatesSubmissions) {
                std::invalid_argument);  // duplicate grid id
 }
 
+TEST(Gateway, OutOfRangeClusterRejectedBeforeAnyStateChange) {
+  Fixture f(3);
+  // Queue one job so the queue-length check sees a non-trivial state.
+  f.gateway.submit(make_grid_job(1, 0, {0}, 8, 100.0));
+  f.gateway.submit(make_grid_job(2, 0, {0}, 8, 100.0));
+  const auto queues = [&f] {
+    std::vector<std::size_t> lengths;
+    for (std::size_t c = 0; c < f.platform.size(); ++c) {
+      lengths.push_back(f.platform.scheduler(c).queue_length());
+    }
+    return lengths;
+  };
+  const std::vector<std::size_t> before = queues();
+  // A valid replica precedes the bad one, so a late check would already
+  // have delivered it.
+  EXPECT_THROW(f.gateway.submit(make_grid_job(7, 0, {0, 1, 3}, 1, 5.0)),
+               std::invalid_argument);  // target outside the platform
+  EXPECT_THROW(f.gateway.submit(make_grid_job(7, 5, {1, 5}, 1, 5.0)),
+               std::invalid_argument);  // origin outside the platform
+  EXPECT_EQ(f.gateway.submitted(), 2u);
+  EXPECT_EQ(queues(), before);
+  EXPECT_EQ(f.gateway.records().size(), 0u);
+  // Nothing of job 7 was tracked, so the id is still free.
+  f.gateway.submit(make_grid_job(7, 0, {0, 1, 2}, 1, 5.0));
+  EXPECT_EQ(f.gateway.submitted(), 3u);
+  f.sim.run();
+  EXPECT_EQ(f.gateway.finished(), 3u);
+  EXPECT_EQ(f.gateway.records().size(), 3u);
+}
+
 TEST(Gateway, JobRunsExactlyOnceDespiteReplicas) {
   Fixture f(4);
   f.gateway.submit(make_grid_job(1, 0, {0, 1, 2, 3}, 8, 30.0));

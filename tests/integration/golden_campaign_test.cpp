@@ -1,6 +1,7 @@
 // Golden bit-identity tests for the kernel hot-path overhaul.
 //
-// The calendar event queue, inline callbacks, and flat job tables are
+// The event queue's layout (once a two-tier calendar queue, now one
+// compacting binary heap), inline callbacks, and flat job tables are
 // pure representation changes: every simulated trajectory must be
 // bit-identical to the pre-overhaul kernel (binary-heap queue,
 // std::function callbacks, std::map/unordered_map job tables). These

@@ -26,10 +26,8 @@ namespace {
 // queue linearly in dispatch, and computes wake-ups with an O(Q) sweep.
 class LegacyCbf final : public ClusterScheduler {
  public:
-  LegacyCbf(des::Simulation& sim, int total_nodes, bool compress)
-      : ClusterScheduler(sim, total_nodes),
-        compress_(compress),
-        profile_(total_nodes) {}
+  LegacyCbf(des::Simulation& sim, int total_nodes)
+      : ClusterScheduler(sim, total_nodes), profile_(total_nodes) {}
 
   std::string name() const override { return "cbf-legacy"; }
   std::size_t queue_length() const override { return queue_.size(); }
@@ -60,7 +58,7 @@ class LegacyCbf final : public ClusterScheduler {
 
   void handle_completion(const Job& job) override {
     const bool early = job.finish_time < job.start_time + job.requested_time;
-    if (early && compress_) rebuild_profile();
+    if (early) rebuild_profile();
     dispatch_ready();
   }
 
@@ -118,7 +116,6 @@ class LegacyCbf final : public ClusterScheduler {
     }
   }
 
-  bool compress_;
   std::vector<Entry> queue_;
   Profile profile_;
   des::Simulation::EventHandle wakeup_;
@@ -142,13 +139,12 @@ struct WorkloadParams {
   int jobs = 250;
   double cancel_fraction = 0.5;
   bool declines = true;
-  bool compress = true;
 };
 
 template <typename Scheduler>
 Trace run_workload(const WorkloadParams& wp) {
   des::Simulation sim;
-  Scheduler sched(sim, wp.nodes, wp.compress);
+  Scheduler sched(sim, wp.nodes);
   Trace trace;
 
   ClusterScheduler::Callbacks cb;
@@ -231,17 +227,6 @@ TEST(CbfIncremental, MatchesLegacyRebuildTraceBitExactly) {
   }
 }
 
-TEST(CbfIncremental, MatchesLegacyWithCompressionDisabled) {
-  for (std::uint64_t seed : {5u, 71u, 123u}) {
-    WorkloadParams wp;
-    wp.seed = seed;
-    wp.compress = false;
-    const Trace legacy = run_workload<LegacyCbf>(wp);
-    const Trace incremental = run_workload<CbfScheduler>(wp);
-    expect_traces_equal(legacy, incremental, seed);
-  }
-}
-
 TEST(CbfIncremental, MatchesLegacyWithoutDeclines) {
   WorkloadParams wp;
   wp.seed = 400;
@@ -255,33 +240,30 @@ TEST(CbfIncremental, SelfCheckReportsNoDivergence) {
   // The built-in oracle re-derives every reservation from a from-scratch
   // rebuild after each compression; any mismatch is a correctness bug in
   // the incremental update.
-  for (const bool compress : {true, false}) {
-    for (std::uint64_t seed : {3u, 59u, 322u}) {
-      des::Simulation sim;
-      CbfScheduler sched(sim, 16, compress);
-      sched.set_self_check(true);
-      util::Rng rng(seed);
-      double t = 0.0;
-      for (JobId id = 1; id <= 200; ++id) {
-        t += rng.uniform(0.05, 10.0);
-        Job job;
-        job.id = id;
-        job.nodes = static_cast<int>(rng.between(1, 16));
-        job.requested_time = rng.uniform(5.0, 200.0);
-        job.actual_time = job.requested_time * rng.uniform(0.1, 1.0);
-        sim.schedule_at(t, [&sched, job] { sched.submit(job); },
-                        des::Priority::kArrival);
-        if (rng.chance(0.6)) {
-          sim.schedule_at(t + rng.uniform(0.0, 90.0),
-                          [&sched, id] { sched.cancel(id); },
-                          des::Priority::kCancel);
-        }
+  for (std::uint64_t seed : {3u, 59u, 322u}) {
+    des::Simulation sim;
+    CbfScheduler sched(sim, 16);
+    sched.set_self_check(true);
+    util::Rng rng(seed);
+    double t = 0.0;
+    for (JobId id = 1; id <= 200; ++id) {
+      t += rng.uniform(0.05, 10.0);
+      Job job;
+      job.id = id;
+      job.nodes = static_cast<int>(rng.between(1, 16));
+      job.requested_time = rng.uniform(5.0, 200.0);
+      job.actual_time = job.requested_time * rng.uniform(0.1, 1.0);
+      sim.schedule_at(t, [&sched, job] { sched.submit(job); },
+                      des::Priority::kArrival);
+      if (rng.chance(0.6)) {
+        sim.schedule_at(t + rng.uniform(0.0, 90.0),
+                        [&sched, id] { sched.cancel(id); },
+                        des::Priority::kCancel);
       }
-      sim.run();
-      EXPECT_EQ(sched.self_check_fallbacks(), 0u)
-          << "compress=" << compress << " seed=" << seed;
-      EXPECT_GT(sched.counters().cancels, 30u);
     }
+    sim.run();
+    EXPECT_EQ(sched.self_check_fallbacks(), 0u) << "seed=" << seed;
+    EXPECT_GT(sched.counters().cancels, 30u);
   }
 }
 
