@@ -8,7 +8,9 @@
 // binary heap over the whole pending set, std::function callbacks,
 // lazy-skip cancels, no compaction). The replica is the equivalence
 // oracle: both kernels must dispatch the identical event sequence in the
-// same run that measures them. The batched wide-horizon arrivals are
+// same run that measures them. Each kernel's time is the median of five
+// churn passes, run alternately, so one noisy pass does not move the
+// ratio. The batched wide-horizon arrivals are
 // synthetic — campaigns stage arrivals one tie cohort at a time — so the
 // ratio tracks callback and slab costs, not a campaign speedup. The
 // binary also benchmarks the flat job-table maps
@@ -352,6 +354,28 @@ MapStats run_map_churn(std::int64_t ops, std::uint64_t universe) {
   return s;
 }
 
+/// Runs one more churn pass and sets `median.elapsed` to the median over
+/// `times`. The passes are deterministic, so every one must fold the same
+/// trace.
+template <typename Kernel>
+void run_churn_repeat(ChurnStats& median, std::vector<double>& times,
+                      int batches, int events_per_batch, std::uint64_t seed) {
+  const ChurnStats s = run_churn<Kernel>(batches, events_per_batch, seed);
+  if (!times.empty() && s.checksum != median.checksum) {
+    throw std::runtime_error(
+        "equivalence violation: a repeated churn pass folded a different "
+        "trace");
+  }
+  median = s;
+  times.push_back(s.elapsed);
+  std::vector<double> sorted = times;
+  std::sort(sorted.begin(), sorted.end());
+  const std::size_t mid = sorted.size() / 2;
+  median.elapsed = sorted.size() % 2 == 1
+                       ? sorted[mid]
+                       : 0.5 * (sorted[mid - 1] + sorted[mid]);
+}
+
 void print_kernel_row(const char* name, const ChurnStats& s) {
   std::printf("  %-14s %8.3f s  %9llu dispatched  %7llu cancelled  %12.0f "
               "events/s\n",
@@ -373,6 +397,7 @@ int main(int argc, char** argv) {
     const auto batches = static_cast<int>(cli.get_int("batches", 60));
     const auto events = static_cast<int>(cli.get_int("events", 4000));
     const std::int64_t map_ops = cli.get_int("map-ops", 2000000);
+    constexpr int kRepeats = 5;  // timed churn passes per kernel
     const std::string mode = cli.get_string("mode", "both");
     const std::string out_path = cli.get_string("out", "BENCH_kernel.json");
     if (batches < 1 || events < 1 || map_ops < 1) {
@@ -387,21 +412,27 @@ int main(int argc, char** argv) {
     std::printf(
         "schedule-cancel-dispatch churn (%d batches x %d events, 25%%\n"
         "cancelled, 20%% follow-up insertions) through the production\n"
-        "kernel and the legacy binary-heap + std::function replica;\n"
-        "dispatch traces must be bit-identical. Then job-table map churn\n"
-        "(%lld ops) through the flat maps and their std counterparts.\n\n",
-        batches, events, static_cast<long long>(map_ops));
+        "kernel and the legacy binary-heap + std::function replica,\n"
+        "median of %d alternating passes each; dispatch traces must be\n"
+        "bit-identical. Then job-table map churn (%lld ops) through the\n"
+        "flat maps and their std counterparts.\n\n",
+        batches, events, kRepeats, static_cast<long long>(map_ops));
 
     constexpr std::uint64_t kSeed = 20260807;
     ChurnStats fresh, legacy;
-    if (mode != "legacy") {
-      fresh = run_churn<des::Simulation>(batches, events, kSeed);
-      print_kernel_row("production", fresh);
+    std::vector<double> fresh_times, legacy_times;
+    for (int r = 0; r < kRepeats; ++r) {
+      if (mode != "legacy") {
+        run_churn_repeat<des::Simulation>(fresh, fresh_times, batches, events,
+                                          kSeed);
+      }
+      if (mode != "new") {
+        run_churn_repeat<LegacyKernel>(legacy, legacy_times, batches, events,
+                                       kSeed);
+      }
     }
-    if (mode != "new") {
-      legacy = run_churn<LegacyKernel>(batches, events, kSeed);
-      print_kernel_row("legacy", legacy);
-    }
+    if (mode != "legacy") print_kernel_row("production", fresh);
+    if (mode != "new") print_kernel_row("legacy", legacy);
     const bool both = mode == "both";
     if (both) {
       // Behaviour-preservation contract, enforced in the measuring run:
@@ -459,8 +490,9 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "  \"batches\": %d,\n"
                  "  \"events_per_batch\": %d,\n"
+                 "  \"kernel_repeats\": %d,\n"
                  "  \"mode\": \"%s\",\n",
-                 batches, events, mode.c_str());
+                 batches, events, kRepeats, mode.c_str());
     if (mode != "legacy") {
       std::fprintf(f,
                    "  \"kernel_production_seconds\": %.4f,\n"
@@ -482,7 +514,9 @@ int main(int argc, char** argv) {
                    "  \"kernel_note\": \"both kernels are one binary heap "
                    "over every pending event; the ratio measures inline "
                    "callbacks, the pooled slab and stale-entry compaction "
-                   "on synthetic batched arrivals\",\n",
+                   "on synthetic batched arrivals. Each kernel's seconds "
+                   "are the median of kernel_repeats alternating "
+                   "passes\",\n",
                    legacy.elapsed / fresh.elapsed);
     }
     std::fprintf(f,

@@ -9,8 +9,10 @@
 // searched its queue on every cancel and rescanned it on every event.
 // Reports schedule-passes/sec and cancels/sec per algorithm, verifies
 // that CBF and EASY reproduce their replicas' traces bit-exactly in the
-// same run, and writes the results to BENCH_sched.json so future PRs have
-// a perf trajectory to compare against.
+// same run, prints how many pending slots each EASY's backfill scans
+// tested (and how many 32-slot blocks the block-bounded scan skipped),
+// and writes the results to BENCH_sched.json so future changes have a
+// perf trajectory to compare against.
 //
 //   ./micro_sched [--submissions=2500] [--nodes=64]
 //                 [--out=BENCH_sched.json] plus common flags.
@@ -242,8 +244,10 @@ class LegacyEasy final : public sched::ClusterScheduler {
       Shadow shadow = compute_shadow();
       const sched::Time now = sim_.now();
       bool queue_changed = false;
+      std::uint64_t slots = 0;  // every slot is tested one by one
       for (auto it = std::next(queue_.begin());
            it != queue_.end() && free_nodes() > 0;) {
+        ++slots;
         const bool fits_now = it->nodes <= free_nodes();
         const bool ends_before_shadow =
             now + it->requested_time <= shadow.time;
@@ -260,6 +264,7 @@ class LegacyEasy final : public sched::ClusterScheduler {
           ++it;
         }
       }
+      count_backfill_scan(slots, 0);
       if (!queue_changed) return;
     }
   }
@@ -430,10 +435,16 @@ int main(int argc, char** argv) {
           "equivalence violation: easy diverged from the deque-based "
           "baseline");
     }
+    std::printf(
+        "\neasy backfill scans: %llu slots tested, %llu blocks skipped "
+        "(easy-legacy: %llu slots tested)\n",
+        static_cast<unsigned long long>(easy.counters.backfill_slots),
+        static_cast<unsigned long long>(easy.counters.backfill_blocks_skipped),
+        static_cast<unsigned long long>(easy_legacy.counters.backfill_slots));
 
     const double speedup = legacy.elapsed / cbf.elapsed;
     std::printf(
-        "\ncbf incremental vs rebuild: %.2fx  (%llu cancels, %llu rebuild "
+        "cbf incremental vs rebuild: %.2fx  (%llu cancels, %llu rebuild "
         "fallbacks vs %llu incremental compressions, traces "
         "bit-identical)\n",
         speedup, static_cast<unsigned long long>(cbf.counters.cancels),
@@ -463,6 +474,9 @@ int main(int argc, char** argv) {
                  "  \"easy_seconds\": %.4f,\n"
                  "  \"easy_legacy_seconds\": %.4f,\n"
                  "  \"easy_speedup_vs_legacy\": %.4f,\n"
+                 "  \"easy_backfill_slots\": %llu,\n"
+                 "  \"easy_backfill_blocks_skipped\": %llu,\n"
+                 "  \"easy_legacy_backfill_slots\": %llu,\n"
                  "  \"cbf_rebuild_seconds\": %.4f,\n"
                  "  \"cbf_rebuild_passes_per_sec\": %.0f,\n"
                  "  \"cbf_rebuild_cancels_per_sec\": %.0f,\n"
@@ -486,7 +500,13 @@ int main(int argc, char** argv) {
                  cbf.peak_queue, fcfs.passes_per_sec(),
                  fcfs.cancels_per_sec(), easy.passes_per_sec(),
                  easy.cancels_per_sec(), easy.elapsed, easy_legacy.elapsed,
-                 easy_speedup, legacy.elapsed,
+                 easy_speedup,
+                 static_cast<unsigned long long>(easy.counters.backfill_slots),
+                 static_cast<unsigned long long>(
+                     easy.counters.backfill_blocks_skipped),
+                 static_cast<unsigned long long>(
+                     easy_legacy.counters.backfill_slots),
+                 legacy.elapsed,
                  legacy.passes_per_sec(), legacy.cancels_per_sec(),
                  cbf.elapsed, cbf.passes_per_sec(), cbf.cancels_per_sec(),
                  static_cast<unsigned long long>(cbf.rebuilds),

@@ -209,6 +209,8 @@ SimResult run_pdes_experiment(const ExperimentConfig& config) {
     result.ops.finishes += c.finishes;
     result.ops.declines += c.declines;
     result.ops.sched_passes += c.sched_passes;
+    result.ops.backfill_slots += c.backfill_slots;
+    result.ops.backfill_blocks_skipped += c.backfill_blocks_skipped;
   }
   result.gateway_cancels = gateway.cancellations_issued();
   result.replicas_rejected = gateway.replicas_rejected();

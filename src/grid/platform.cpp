@@ -28,6 +28,8 @@ sched::OpCounters Platform::total_counters() const {
     total.finishes += c.finishes;
     total.declines += c.declines;
     total.sched_passes += c.sched_passes;
+    total.backfill_slots += c.backfill_slots;
+    total.backfill_blocks_skipped += c.backfill_blocks_skipped;
   }
   return total;
 }

@@ -1,6 +1,7 @@
 #include "rrsim/sched/easy.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace rrsim::sched {
@@ -105,25 +106,50 @@ void EasyScheduler::schedule_pass() {
 
     // Phase 2: backfill behind the (non-fitting) head under the one-
     // reservation rule. Shadow/extra are maintained incrementally: a
-    // backfilled job that may outlive the shadow consumes `extra`.
+    // backfilled job that may outlive the shadow consumes `extra`. The
+    // scan goes block by block: a block whose lower bound fails the test
+    // holds no slot that passes it, so it is skipped whole; in any other
+    // block the passing slots are found branch-free as a bit mask.
     Shadow shadow = compute_shadow();
     const Time now = sim_.now();
     bool started = false;
     bool declined = false;  // a decline makes the shadow bookkeeping stale
-    for (std::size_t i = queue_.head() + 1;
-         i < queue_.end() && free_nodes() > 0; ++i) {
-      const PendingQueue::Key key = queue_.key(i);
-      if (!backfills(key, now, shadow)) continue;
-      const bool ends_before_shadow = now + key.requested_time <= shadow.time;
-      if (!ends_before_shadow) shadow.extra -= key.nodes;
-      started = true;
-      if (!start_and_track(queue_.take(i))) {
-        // Decline: the start did not happen, so the shadow bookkeeping
-        // above may now be stale; restart the whole pass.
-        declined = true;
-        break;
+    std::uint64_t slots = 0;
+    std::uint64_t skipped = 0;
+    for (std::size_t lo = queue_.head() + 1;
+         lo < queue_.end() && free_nodes() > 0 && !declined;) {
+      const std::size_t block = lo / PendingQueue::kBlock;
+      const std::size_t hi =
+          std::min((block + 1) * PendingQueue::kBlock, queue_.end());
+      if (!block_may_backfill(block, now, shadow)) {
+        ++skipped;
+        lo = hi;
+        continue;
       }
+      slots += hi - lo;
+      for (std::uint32_t mask = backfill_mask(lo, hi, now, shadow); mask != 0;
+           mask &= mask - 1) {
+        const std::size_t i =
+            block * PendingQueue::kBlock +
+            static_cast<std::size_t>(std::countr_zero(mask));
+        const PendingQueue::Key key = queue_.key(i);
+        // A start earlier in this block may have used up the free nodes
+        // or the extra this slot passed with.
+        if (!backfills(key, now, shadow)) continue;
+        const bool ends_before_shadow =
+            now + key.requested_time <= shadow.time;
+        if (!ends_before_shadow) shadow.extra -= key.nodes;
+        started = true;
+        if (!start_and_track(queue_.take(i))) {
+          // Decline: the start did not happen, so the shadow bookkeeping
+          // above may now be stale; restart the whole pass.
+          declined = true;
+          break;
+        }
+      }
+      lo = hi;
     }
+    count_backfill_scan(slots, skipped);
     if (declined) continue;
     // Clean when a rescan would compute this same shadow: then every job
     // it tests sees no more free nodes and no more extra than this scan
@@ -134,6 +160,30 @@ void EasyScheduler::schedule_pass() {
     shadow_ = shadow;
     return;
   }
+}
+
+bool EasyScheduler::block_may_backfill(std::size_t block, Time now,
+                                       const Shadow& shadow) {
+  return backfills(queue_.bound(block), now, shadow) &&
+         (!queue_.stale(block) ||
+          backfills(queue_.refresh(block), now, shadow));
+}
+
+std::uint32_t EasyScheduler::backfill_mask(std::size_t lo, std::size_t hi,
+                                           Time now,
+                                           const Shadow& shadow) const {
+  // backfills() with its short-circuits turned into bit operations: which
+  // slot passes is data-dependent, so branches on it mispredict.
+  const int free = free_nodes();
+  std::uint32_t mask = 0;
+  for (std::size_t i = lo; i < hi; ++i) {
+    const PendingQueue::Key& key = queue_.key(i);
+    const bool pass = (key.nodes <= free) &
+                      ((now + key.requested_time <= shadow.time) |
+                       (key.nodes <= shadow.extra));
+    mask |= std::uint32_t{pass} << (i % PendingQueue::kBlock);
+  }
+  return mask;
 }
 
 void EasyScheduler::backfill_tail(std::size_t slot) {

@@ -11,10 +11,13 @@
 // a full pass the queue is marked *clean* when a rescan in that state
 // would start nothing and compute the same shadow. Until a completion or
 // a head cancel dirties it, a non-head cancel is a no-op pass and a submit
-// only tests the new tail job. Starts, counters and shadows are exactly
-// those of the full rescan on every event.
+// only tests the new tail job. A full pass's backfill scan skips every
+// 32-slot block whose lower bound (PendingQueue::bound) fails the backfill
+// test. Starts, counters and shadows are exactly those of the full
+// rescan on every event.
 #pragma once
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -100,6 +103,18 @@ class EasyScheduler final : public ClusterScheduler {
            (now + key.requested_time <= shadow.time ||
             key.nodes <= shadow.extra);
   }
+
+  /// Whether block `block` may hold a slot that backfills: false when
+  /// its lower bound fails the test, refreshing a stale bound first.
+  /// Both halves of the test are monotone in the key, so a failing bound
+  /// proves that every live slot of the block fails too.
+  bool block_may_backfill(std::size_t block, Time now, const Shadow& shadow);
+
+  /// backfills() for the slots [lo, hi) of one block, evaluated without
+  /// branches: bit `slot % PendingQueue::kBlock` is set for each slot
+  /// that passes.
+  std::uint32_t backfill_mask(std::size_t lo, std::size_t hi, Time now,
+                              const Shadow& shadow) const;
 
   /// Starts `job` via try_start and, on success, records its requested
   /// end in running_ends_. `now + job.requested_time` must be computed

@@ -16,11 +16,20 @@
 //    tombstones out once they outnumber the live jobs (the dead/live
 //    ratio is the only trigger), and only when the owner asks for it
 //    between passes: slot numbers stay stable during a scan.
+//  * Every 32-slot block keeps a lower bound on its live keys: the
+//    minimum requested_time and the minimum nodes. push_back lowers it in
+//    O(1); take only flags it stale when the removed key may have been a
+//    minimum, since a bound that is too low is still a bound; refresh()
+//    recomputes one block on demand; compaction rebuilds them all. A
+//    backfill test that is monotone in both key fields rejects a whole
+//    block when it rejects the block's bound.
 #pragma once
 
+#include <algorithm>
 #include <climits>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -39,6 +48,11 @@ class PendingQueue {
     int nodes = 0;  ///< kTombstone once the slot's job has left
   };
   static constexpr int kTombstone = INT_MAX;
+  /// Slots per bounded block; slot `s` lies in block `s / kBlock`.
+  static constexpr std::size_t kBlock = 32;
+  /// The bound of a block with no live key: rejected by any fit test.
+  static constexpr Key kEmptyBound{std::numeric_limits<Time>::infinity(),
+                                   kTombstone};
 
   std::size_t size() const noexcept { return live_; }
   bool empty() const noexcept { return live_ == 0; }
@@ -54,19 +68,45 @@ class PendingQueue {
   /// Slot of pending job `id`, which must be queued.
   std::size_t slot_of(JobId id) const { return slot_of_.at(id); }
 
+  /// Lower bound on the live keys of block `b`: no live slot in it has
+  /// fewer nodes or a shorter requested_time. Exact unless stale(b).
+  const Key& bound(std::size_t b) const noexcept { return bounds_[b]; }
+  bool stale(std::size_t b) const noexcept { return stale_[b] != 0; }
+
+  /// Recomputes block `b`'s bound as the exact minimum over its live
+  /// keys (kEmptyBound when it has none) and returns it.
+  const Key& refresh(std::size_t b) noexcept {
+    stale_[b] = 0;
+    return bounds_[b] = live_min(b);
+  }
+
   /// Appends `job` at the tail; returns its slot.
   std::size_t push_back(Job job) {
     const std::size_t slot = keys_.size();
     slot_of_.try_emplace(job.id, static_cast<std::uint32_t>(slot));
-    keys_.push_back(Key{job.requested_time, job.nodes});
+    const Key key{job.requested_time, job.nodes};
+    keys_.push_back(key);
     jobs_.push_back(std::move(job));
     ++live_;
+    if (slot % kBlock == 0) {
+      bounds_.push_back(key);
+      stale_.push_back(0);
+    } else {
+      Key& bound = bounds_.back();
+      bound.requested_time = std::min(bound.requested_time, key.requested_time);
+      bound.nodes = std::min(bound.nodes, key.nodes);
+    }
     return slot;
   }
 
   /// Removes the live job in `slot` and returns it. Leaves a tombstone;
   /// no other slot moves.
   Job take(std::size_t slot) {
+    const Key& bound = bounds_[slot / kBlock];
+    stale_[slot / kBlock] |=
+        static_cast<std::uint8_t>(keys_[slot].nodes == bound.nodes ||
+                                  keys_[slot].requested_time ==
+                                      bound.requested_time);
     keys_[slot].nodes = kTombstone;
     slot_of_.erase(jobs_[slot].id);
     --live_;
@@ -98,6 +138,8 @@ class PendingQueue {
   void clear() noexcept {
     keys_.clear();
     jobs_.clear();
+    bounds_.clear();
+    stale_.clear();
     slot_of_.clear();
     head_ = 0;
     live_ = 0;
@@ -106,12 +148,15 @@ class PendingQueue {
   /// Bytes of storage held, by capacity (the high-water footprint).
   std::size_t memory_bytes() const noexcept {
     return keys_.capacity() * sizeof(Key) + jobs_.capacity() * sizeof(Job) +
+           bounds_.capacity() * sizeof(Key) + stale_.capacity() +
            slot_of_.memory_bytes();
   }
 
 #if RRSIM_VALIDATE_ENABLED
   /// Keys, payloads and the id -> slot index describe one set of jobs;
-  /// the live count is right and the head is the first live slot.
+  /// the live count is right and the head is the first live slot. Every
+  /// block bound is at most each live key of its block, and equals their
+  /// minimum unless flagged stale.
   void validate() const {
     RRSIM_CHECK(keys_.size() == jobs_.size(),
                 "pending queue: key and payload arrays differ in length");
@@ -138,6 +183,19 @@ class PendingQueue {
     RRSIM_CHECK(live_ == 0 ? head_ == keys_.size()
                            : keys_[head_].nodes != kTombstone,
                 "pending queue: head is not the first live slot");
+    RRSIM_CHECK(bounds_.size() == (keys_.size() + kBlock - 1) / kBlock &&
+                    stale_.size() == bounds_.size(),
+                "pending queue: one bound per block");
+    for (std::size_t b = 0; b < bounds_.size(); ++b) {
+      const Key min = live_min(b);
+      RRSIM_CHECK(bounds_[b].nodes <= min.nodes &&
+                      bounds_[b].requested_time <= min.requested_time,
+                  "pending queue: block bound exceeds a live key");
+      RRSIM_CHECK(stale_[b] != 0 || (bounds_[b].nodes == min.nodes &&
+                                     bounds_[b].requested_time ==
+                                         min.requested_time),
+                  "pending queue: fresh block bound is not the minimum");
+    }
   }
 #endif
 
@@ -156,10 +214,29 @@ class PendingQueue {
     keys_.resize(out);
     jobs_.resize(out);
     head_ = 0;
+    bounds_.resize((out + kBlock - 1) / kBlock);
+    stale_.resize(bounds_.size());
+    for (std::size_t b = 0; b < bounds_.size(); ++b) refresh(b);
+  }
+
+  /// The exact minimum over block `b`'s live keys; kEmptyBound if none.
+  Key live_min(std::size_t b) const noexcept {
+    Key min = kEmptyBound;
+    for (std::size_t i = b * kBlock;
+         i < std::min((b + 1) * kBlock, keys_.size()); ++i) {
+      const bool live = keys_[i].nodes != kTombstone;
+      min.nodes = std::min(min.nodes, keys_[i].nodes);
+      min.requested_time =
+          std::min(min.requested_time, live ? keys_[i].requested_time
+                                            : kEmptyBound.requested_time);
+    }
+    return min;
   }
 
   std::vector<Key> keys_;
   std::vector<Job> jobs_;  ///< payload, parallel to keys_
+  std::vector<Key> bounds_;           ///< one lower bound per block
+  std::vector<std::uint8_t> stale_;  ///< 1 once a bound may be too low
   util::FlatHashMap<JobId, std::uint32_t> slot_of_;
   std::size_t head_ = 0;
   std::size_t live_ = 0;

@@ -26,6 +26,11 @@ struct OpCounters {
   std::uint64_t finishes = 0;   ///< jobs that ran to completion
   std::uint64_t declines = 0;   ///< grants refused by the owner
   std::uint64_t sched_passes = 0;  ///< scheduling passes executed
+  /// EASY backfill scans: pending slots tested one by one (summed per
+  /// tested block, so a block retested after a start counts again), and
+  /// blocks whose lower bound ruled every slot out untested.
+  std::uint64_t backfill_slots = 0;
+  std::uint64_t backfill_blocks_skipped = 0;
 };
 
 /// Batch scheduler for a single cluster.
@@ -85,7 +90,8 @@ class ClusterScheduler {
   /// Caps the number of *pending* requests any one user may have in this
   /// queue (running jobs do not count, matching PBS-style limits).
   /// nullopt (default) disables the limit. Jobs with limit_exempt set
-  /// bypass it.
+  /// bypass it. Pending jobs are counted per user only while a limit is
+  /// set; enabling one recounts the jobs already queued.
   void set_per_user_pending_limit(std::optional<int> limit);
 
   /// When enabled, a job's lifecycle entry (and any recorded submit-time
@@ -209,6 +215,11 @@ class ClusterScheduler {
   void record_prediction(JobId id, Time predicted_start);
 
   void count_pass() noexcept { ++counters_.sched_passes; }
+  void count_backfill_scan(std::uint64_t slots,
+                           std::uint64_t blocks_skipped) noexcept {
+    counters_.backfill_slots += slots;
+    counters_.backfill_blocks_skipped += blocks_skipped;
+  }
 
   des::Simulation& sim_;
 
@@ -232,7 +243,7 @@ class ClusterScheduler {
   // Per-job bookkeeping lives in flat tables: these are touched on every
   // submit/cancel/start/finish, and none of them needs ordered iteration
   // (the running set, which does, gets the sorted-vector map).
-  util::FlatHashMap<UserId, int> pending_per_user_;
+  util::FlatHashMap<UserId, int> pending_per_user_;  // while limited
   util::FlatOrderedMap<JobId, Job> running_;
   util::FlatHashMap<JobId, Time> predictions_;  // submit-time starts
   /// Lifecycle of every id ever submitted: duplicate-id guard and the

@@ -86,6 +86,13 @@ void ClusterScheduler::set_per_user_pending_limit(std::optional<int> limit) {
   if (limit && *limit < 0) {
     throw std::invalid_argument("per-user pending limit must be >= 0");
   }
+  if (limit && !per_user_limit_) {
+    // Pending jobs are only counted while a limit is set: recount them.
+    pending_per_user_.clear();
+    for (const Job* job : pending_in_order()) ++pending_per_user_[job->user];
+  } else if (!limit) {
+    pending_per_user_.clear();
+  }
   per_user_limit_ = limit;
 }
 
@@ -108,7 +115,7 @@ bool ClusterScheduler::submit(Job job) {
   job.submit_time = sim_.now();
   job.state = JobState::kPending;
   ++counters_.submits;
-  ++pending_per_user_[job.user];
+  if (per_user_limit_) ++pending_per_user_[job.user];
 #if RRSIM_VALIDATE_ENABLED
   const JobId submitted_id = job.id;
 #endif
@@ -152,7 +159,7 @@ bool ClusterScheduler::cancel(JobId id) {
     known_ids_.at(id) = JobState::kCancelled;
   }
   ++counters_.cancels;
-  --pending_per_user_[job.user];
+  if (per_user_limit_) --pending_per_user_[job.user];
 #if RRSIM_VALIDATE_ENABLED
   validate_op(id, JobState::kCancelled);
 #endif
@@ -166,7 +173,7 @@ bool ClusterScheduler::try_start(Job job) {
   }
   // The job leaves the pending population whether the grant succeeds
   // (it runs) or not (it is dropped as declined).
-  --pending_per_user_[job.user];
+  if (per_user_limit_) --pending_per_user_[job.user];
   if (callbacks_.on_grant && !callbacks_.on_grant(job)) {
     ++counters_.declines;
     if (forget_terminal_ids_) {

@@ -154,12 +154,14 @@ struct Trace {
   // second once that second's events have run.
   std::vector<std::optional<Time>> shadows;
   OpCounters counters;
+  std::size_t max_pending = 0;  // deepest queue seen after a submit
 };
 
 struct ChurnParams {
   std::uint64_t seed = 1;
   int nodes = 16;
   int jobs = 400;
+  int max_gap = 5;  ///< longest gap between submissions, in seconds
   bool declines = true;
 };
 
@@ -212,7 +214,9 @@ Trace run_churn(const ChurnParams& p) {
   util::Rng rng(p.seed);
   double t = 0.0;
   for (JobId id = 1; id <= static_cast<JobId>(p.jobs); ++id) {
-    if (!rng.chance(0.35)) t += static_cast<double>(rng.between(0, 5));
+    if (!rng.chance(0.35)) {
+      t += static_cast<double>(rng.between(0, p.max_gap));
+    }
     Job job;
     job.id = id;
     job.nodes = static_cast<int>(rng.between(1, p.nodes));
@@ -229,6 +233,8 @@ Trace run_churn(const ChurnParams& p) {
           pending[job.id] = 1;
           sched.submit(job);
           trace.shadows.push_back(sched.head_shadow_time());
+          trace.max_pending =
+              std::max(trace.max_pending, sched.queue_length());
         },
         des::Priority::kArrival);
     if (rng.chance(0.45)) {
@@ -326,6 +332,27 @@ TEST(EasyIncremental, MatchesLegacyOnADeepQueue) {
   const Trace legacy = run_churn<LegacyEasy>(p);
   const Trace now = run_churn<EasyScheduler>(p);
   expect_traces_equal(legacy, now, p);
+}
+
+TEST(EasyIncremental, MatchesLegacyWhenBlocksAreSkipped) {
+  // 1-128-node jobs on 128 nodes arrive faster than they drain, so
+  // hundreds of jobs pend across many 32-slot blocks and cancels hit the
+  // middle of the queue. Most blocks hold only jobs too wide for the
+  // free nodes, and the scan must skip them on their bounds alone.
+  for (const std::uint64_t seed : {3u, 77u}) {
+    ChurnParams p;
+    p.seed = seed;
+    p.nodes = 128;
+    p.jobs = 3000;
+    p.max_gap = 2;
+    const Trace legacy = run_churn<LegacyEasy>(p);
+    const Trace now = run_churn<EasyScheduler>(p);
+    expect_traces_equal(legacy, now, p);
+    EXPECT_GE(now.max_pending, 300u) << "queue too shallow";
+    EXPECT_GT(now.counters.cancels, 1000u) << "workload too tame";
+    EXPECT_GT(now.counters.backfill_blocks_skipped, 0u)
+        << "no block was skipped";
+  }
 }
 
 

@@ -4,6 +4,8 @@
 // pending requests").
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "rrsim/sched/factory.h"
 
 namespace rrsim::sched {
@@ -74,6 +76,29 @@ TEST_P(UserLimits, StartsAndCancellationsReleaseSlots) {
   EXPECT_TRUE(sched->submit(make_job(5, 7, 4, 10.0)));
 }
 
+TEST_P(UserLimits, EnablingALimitCountsJobsAlreadyQueued) {
+  des::Simulation sim;
+  auto sched = make_scheduler(GetParam(), sim, 4);
+  EXPECT_TRUE(sched->submit(make_job(1, 7)));  // runs
+  EXPECT_TRUE(sched->submit(make_job(2, 7)));  // pending (user 7: 1)
+  EXPECT_TRUE(sched->submit(make_job(3, 7)));  // pending (user 7: 2)
+  EXPECT_TRUE(sched->submit(make_job(4, 8)));  // pending (user 8: 1)
+  sched->set_per_user_pending_limit(2);
+  EXPECT_FALSE(sched->submit(make_job(5, 7)));  // user 7 already capped
+  EXPECT_TRUE(sched->submit(make_job(6, 8)));
+  EXPECT_FALSE(sched->submit(make_job(7, 8)));
+  // Changes made while no limit is set are seen by the next one.
+  sched->set_per_user_pending_limit(std::nullopt);
+  EXPECT_TRUE(sched->cancel(2));
+  EXPECT_TRUE(sched->cancel(6));
+  EXPECT_TRUE(sched->submit(make_job(8, 8)));
+  sched->set_per_user_pending_limit(2);
+  EXPECT_TRUE(sched->submit(make_job(9, 7)));   // user 7: 2
+  EXPECT_FALSE(sched->submit(make_job(10, 7)));
+  EXPECT_FALSE(sched->submit(make_job(11, 8)));  // user 8: 4 and 8
+  EXPECT_EQ(sched->counters().rejects, 4u);
+}
+
 TEST_P(UserLimits, DisabledByDefault) {
   des::Simulation sim;
   auto sched = make_scheduler(GetParam(), sim, 4);
@@ -92,8 +117,9 @@ TEST_P(UserLimits, RejectsNegativeLimit) {
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, UserLimits,
                          ::testing::Values(Algorithm::kFcfs, Algorithm::kEasy,
                                            Algorithm::kCbf),
-                         [](const ::testing::TestParamInfo<Algorithm>& info) {
-                           return algorithm_name(info.param);
+                         [](const ::testing::TestParamInfo<Algorithm>&
+                                param_info) {
+                           return algorithm_name(param_info.param);
                          });
 
 }  // namespace

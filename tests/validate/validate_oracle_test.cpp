@@ -54,7 +54,8 @@ TEST(ValidateClean, RedundantCampaignRunsWithValidatorsArmed) {
   // every per-operation validator fires many times along the way.
   for (grid::GridJobId id = 1; id <= 12; ++id) {
     const std::size_t origin = id % 3;
-    gateway.submit(make_grid_job(id, origin, {0, 1, 2}, 4, 30.0 + id));
+    gateway.submit(make_grid_job(id, origin, {0, 1, 2}, 4,
+                                 30.0 + static_cast<double>(id)));
   }
   sim.run();
   EXPECT_EQ(gateway.finished(), 12u);
